@@ -527,60 +527,37 @@ func BenchmarkExecBatch(b *testing.B) {
 	}
 }
 
-// benchStream shares the measurement harness between the fixed-shard and
-// adaptive streaming benchmarks.
-func benchStream(b *testing.B, docs int, opts stream.Options) {
-	b.Helper()
-	path := benchCorpusFile(b, docs)
-	r, err := config.ParseRecipe(benchStreamRecipe)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.WorkDir = b.TempDir()
-	var peak uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stop := trackPeakHeap()
-		eng, err := stream.New(r, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src, err := stream.OpenSource(path, opts.ShardSize)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Run(src, stream.DiscardSink{}); err != nil {
-			b.Fatal(err)
-		}
-		if p := stop(); p > peak {
-			peak = p
-		}
-	}
-	b.ReportMetric(float64(peak)/(1<<20), "peak_heap_MB")
-	b.ReportMetric(float64(docs)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
-}
-
 func BenchmarkExecStream(b *testing.B) {
+	const shardSize = 256
 	for _, docs := range backendBenchSizes {
 		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
-			benchStream(b, docs, stream.Options{ShardSize: 256})
-		})
-	}
-}
-
-// BenchmarkExecStreamAdaptive runs the same recipe with the runtime
-// controller deciding shard size, worker count and backpressure under a
-// 256MB resident-text target. Compare against BenchmarkExecStream
-// (fixed) and BenchmarkExecBatch; BENCH_stream_adaptive.json records one
-// captured comparison.
-func BenchmarkExecStreamAdaptive(b *testing.B) {
-	for _, docs := range backendBenchSizes {
-		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
-			benchStream(b, docs, stream.Options{
-				ShardSize:      256,
-				Adaptive:       true,
-				TargetMemBytes: 256 << 20,
-			})
+			path := benchCorpusFile(b, docs)
+			r, err := config.ParseRecipe(benchStreamRecipe)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.WorkDir = b.TempDir()
+			var peak uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stop := trackPeakHeap()
+				eng, err := stream.New(r, stream.Options{ShardSize: shardSize})
+				if err != nil {
+					b.Fatal(err)
+				}
+				src, err := stream.OpenSource(path, shardSize)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Run(src, stream.DiscardSink{}); err != nil {
+					b.Fatal(err)
+				}
+				if p := stop(); p > peak {
+					peak = p
+				}
+			}
+			b.ReportMetric(float64(peak)/(1<<20), "peak_heap_MB")
+			b.ReportMetric(float64(docs)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
 		})
 	}
 }

@@ -16,7 +16,7 @@
 //	djprocess -builtin pretrain-web-en -input "hub:web-en?docs=500&seed=1" -output out.jsonl
 //	djprocess -builtin minimal-clean -input "mix:a.jsonl@2,b.csv.gz@1" -output mixed.jsonl
 //	djprocess -stream -shard-size 1024 -recipe recipe.yaml -input "data/*.jsonl.gz" -output out.jsonl
-//	djprocess -stream -adaptive -max-workers 16 -target-mem-mb 512 -recipe recipe.yaml -input big.jsonl -output out.jsonl
+//	djprocess -stream -target-mem-mb 512 -recipe recipe.yaml -input big.jsonl -output out.jsonl
 //	djprocess -workers 4 -recipe recipe.yaml -input big.jsonl -output out.jsonl
 //	djprocess -explain -recipe recipe.yaml
 //	djprocess -list-ops | -list-recipes
@@ -69,10 +69,8 @@ func main() {
 		output      = flag.String("output", "", "export path (.jsonl/.json/.txt; .txt drops meta/stats); overrides the recipe's export_path")
 		np          = flag.Int("np", 0, "worker count (0 = all cores)")
 		streamMode  = flag.Bool("stream", false, "use the shard-pipelined streaming engine (bounded memory)")
-		shardSize   = flag.Int("shard-size", stream.DefaultShardSize, "samples per shard in -stream mode (starting point with -adaptive)")
-		adaptive    = flag.Bool("adaptive", false, "let the runtime controller retune shard size, workers and backpressure from live measurements (implies -stream)")
-		maxWorkers  = flag.Int("max-workers", 0, "cap on the adaptive worker pool (0 = max of -np and all cores)")
-		targetMemMB = flag.Int("target-mem-mb", 0, "memory target in MB: bounds dedup index memory via disk spilling (both backends), and with -adaptive also the text bytes resident across in-flight shards (0 = unbounded)")
+		shardSize   = flag.Int("shard-size", stream.DefaultShardSize, "samples per shard in -stream mode")
+		targetMemMB = flag.Int("target-mem-mb", 0, "memory target in MB: bounds dedup index memory via disk spilling, on both backends (0 = unbounded)")
 		noSpill     = flag.Bool("no-dedup-spill", false, "keep dedup indexes fully in memory even when -target-mem-mb is set")
 		indexParts  = flag.Int("index-partitions", 0, "partitions of the streaming shared signature index (0 = auto from worker count; rounded up to a power of two; output is identical at any setting)")
 		showPlan    = flag.Bool("plan", false, "print the fused execution plan before running")
@@ -147,12 +145,6 @@ func main() {
 	if *np != 0 {
 		recipe.NP = *np
 	}
-	if *adaptive {
-		recipe.Adaptive = true
-	}
-	if *maxWorkers != 0 {
-		recipe.MaxWorkers = *maxWorkers
-	}
 	if *targetMemMB != 0 {
 		recipe.TargetMemMB = *targetMemMB
 	}
@@ -164,9 +156,6 @@ func main() {
 	}
 	if *distComp {
 		recipe.DistCompress = true
-	}
-	if !recipe.Adaptive && recipe.MaxWorkers != 0 {
-		fmt.Fprintln(os.Stderr, "djprocess: -max-workers only takes effect with -adaptive; ignored")
 	}
 	// -explain plans the recipe exactly as a run would see it, so it
 	// must come after every recipe-overriding flag above.
@@ -208,7 +197,7 @@ func main() {
 	distributed := dopts.workers > 0 || len(dopts.addrs) > 0
 
 	tele, srv := openTelemetry(recipe)
-	if *streamMode || recipe.Adaptive || distributed {
+	if *streamMode || distributed {
 		runStreaming(recipe, recipeSrc, inputSpec, *shardSize, *showPlan, *probe || *space, tele, dopts)
 	} else {
 		runBatch(recipe, recipeSrc, inputSpec, *showPlan, *probe, *space, tele)
@@ -394,11 +383,8 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 		defer pool.Close()
 	}
 	opts := stream.Options{
-		ShardSize:      shardSize,
-		Adaptive:       recipe.Adaptive,
-		MaxWorkers:     recipe.MaxWorkers,
-		TargetMemBytes: int64(recipe.TargetMemMB) << 20,
-		Telemetry:      tele,
+		ShardSize: shardSize,
+		Telemetry: tele,
 	}
 	if pool != nil {
 		opts.Dispatch = pool
@@ -451,10 +437,8 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 		e.Shards = report.ShardCount
 		e.Resumed = report.ResumedShards
 	})
-	// The same per-op snapshot the batch path renders, plus the adaptive
-	// controller's self-report.
+	// The same per-op snapshot the batch path renders.
 	fmt.Print(telemetry.FormatOpTable(core.TelemetryRows(report.OpStats)))
-	fmt.Print(report.Metrics.Summary())
 	fmt.Print(report.DistSummary())
 	if tr := eng.Tracer(); tr != nil {
 		fmt.Print(tr.Summary())

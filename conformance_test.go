@@ -1,8 +1,7 @@
 // Cross-backend differential conformance: randomized (seeded) recipes
 // must produce byte-identical exports and equivalent per-op reports on
-// the batch executor and the streaming engine, fused and unfused, fixed
-// and adaptive. This is the contract that lets the two backends — and the
-// adaptive controller retuning one of them mid-run — diverge in
+// the batch executor and the streaming engine, fused and unfused, across
+// shard sizes. This is the contract that lets the two backends diverge in
 // implementation without ever diverging in output.
 package repro_test
 
@@ -88,7 +87,7 @@ func randomRecipe(rng *rand.Rand) *config.Recipe {
 // conformance leg. The pool gets its own work dir so worker-side state
 // never touches the recipe's. A non-nil delay is installed as the
 // engine's ShardDelay hook (jittered shard-completion order).
-func runDistStream(t *testing.T, r *config.Recipe, input string, adaptive bool, workers, shardSize int, delay func(phase, shard int) time.Duration) ([]byte, *stream.Report) {
+func runDistStream(t *testing.T, r *config.Recipe, input string, workers, shardSize int, delay func(phase, shard int) time.Duration) ([]byte, *stream.Report) {
 	t.Helper()
 	pool, err := remote.NewPool(remote.PoolOptions{
 		Workers:   workers,
@@ -100,13 +99,9 @@ func runDistStream(t *testing.T, r *config.Recipe, input string, adaptive bool, 
 	}
 	defer pool.Close()
 	eng, err := stream.New(r, stream.Options{
-		ShardSize:      shardSize,
-		Adaptive:       adaptive,
-		MaxWorkers:     4,
-		TargetMemBytes: 64 << 20,
-		Generation:     2,
-		Dispatch:       pool,
-		ShardDelay:     delay,
+		ShardSize:  shardSize,
+		Dispatch:   pool,
+		ShardDelay: delay,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,23 +228,16 @@ func TestCrossBackendConformanceMixedFormats(t *testing.T) {
 	}
 
 	for _, mode := range []struct {
-		name     string
-		adaptive bool
-		shard    int
+		name  string
+		shard int
 	}{
-		{"fixed", false, 37},
-		{"adaptive", true, 64},
+		{"fixed", 37},
+		{"shard64", 64},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			modeRecipe := streamRecipe
 			modeRecipe.WorkDir = t.TempDir()
-			eng, err := stream.New(&modeRecipe, stream.Options{
-				ShardSize:      mode.shard,
-				Adaptive:       mode.adaptive,
-				MaxWorkers:     4,
-				TargetMemBytes: 32 << 20,
-				Generation:     2,
-			})
+			eng, err := stream.New(&modeRecipe, stream.Options{ShardSize: mode.shard})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +299,6 @@ func TestCrossBackendConformance(t *testing.T) {
 			recipe := randomRecipe(rng)
 			recipe.WorkDir = t.TempDir()
 			shardSize := shardSizes[rng.Intn(len(shardSizes))]
-			adaptive := seed%2 == 0
 
 			// Batch reference run. The batch run persists measured
 			// profiles into its work dir, which would steer the second
@@ -339,13 +326,7 @@ func TestCrossBackendConformance(t *testing.T) {
 			}
 
 			// Streaming run over the same recipe and input.
-			eng, err := stream.New(&streamRecipe, stream.Options{
-				ShardSize:      shardSize,
-				Adaptive:       adaptive,
-				MaxWorkers:     4,
-				TargetMemBytes: 64 << 20,
-				Generation:     2,
-			})
+			eng, err := stream.New(&streamRecipe, stream.Options{ShardSize: shardSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,8 +349,8 @@ func TestCrossBackendConformance(t *testing.T) {
 			batchBytes := readAll(t, batchPath)
 			streamBytes := readAll(t, sink.Paths()...)
 			if string(batchBytes) != string(streamBytes) {
-				t.Fatalf("exports diverge: batch %d bytes, stream %d bytes (fusion=%v adaptive=%v shard=%d)\nrecipe: %+v",
-					len(batchBytes), len(streamBytes), recipe.OpFusion, adaptive, shardSize, recipe.Process)
+				t.Fatalf("exports diverge: batch %d bytes, stream %d bytes (fusion=%v shard=%d)\nrecipe: %+v",
+					len(batchBytes), len(streamBytes), recipe.OpFusion, shardSize, recipe.Process)
 			}
 
 			// Equivalent per-op reports: same plan, same per-op sample flow.
@@ -383,9 +364,6 @@ func TestCrossBackendConformance(t *testing.T) {
 					t.Errorf("op %d: batch %s %d->%d, stream %s %d->%d",
 						i, b.Name, b.InCount, b.OutCount, s.Name, s.InCount, s.OutCount)
 				}
-			}
-			if adaptive && streamRep.Metrics == nil {
-				t.Error("adaptive run reported no controller metrics")
 			}
 
 			// Distributed leg: the same recipe over a real djworker fleet
@@ -404,10 +382,10 @@ func TestCrossBackendConformance(t *testing.T) {
 			if seed%2 == 0 {
 				workers = 4
 			}
-			distBytes, distRep := runDistStream(t, &distRecipe, input, adaptive, workers, shardSize, nil)
+			distBytes, distRep := runDistStream(t, &distRecipe, input, workers, shardSize, nil)
 			if string(batchBytes) != string(distBytes) {
-				t.Fatalf("distributed export diverges: batch %d bytes, dist %d bytes (workers=%d adaptive=%v spill=%v)\nrecipe: %+v",
-					len(batchBytes), len(distBytes), workers, adaptive, seed%3 == 0, recipe.Process)
+				t.Fatalf("distributed export diverges: batch %d bytes, dist %d bytes (workers=%d spill=%v)\nrecipe: %+v",
+					len(batchBytes), len(distBytes), workers, seed%3 == 0, recipe.Process)
 			}
 			if distRep.Dist == nil {
 				t.Fatal("distributed run reported no fleet stats")
@@ -431,8 +409,7 @@ func TestCrossBackendConformance(t *testing.T) {
 // seeded recipes: whatever legal reordering/fusion the planner applies —
 // planner off (static recipe order), planner on cold (static hints), or
 // planner on warm (measured-cost order from the persisted sidecar) — the
-// exported bytes must never change, on either backend, fixed and
-// adaptive. It also pins the headline behavior: the second run of a
+// exported bytes must never change, on either backend. It also pins the headline behavior: the second run of a
 // recipe demonstrably plans from the profile sidecar the first run
 // persisted.
 func TestPlannerConformance(t *testing.T) {
@@ -463,15 +440,9 @@ func TestPlannerConformance(t *testing.T) {
 		return readAll(t, path), exec
 	}
 
-	runStream := func(t *testing.T, r *config.Recipe, adaptive bool) []byte {
+	runStream := func(t *testing.T, r *config.Recipe) []byte {
 		t.Helper()
-		eng, err := stream.New(r, stream.Options{
-			ShardSize:      41,
-			Adaptive:       adaptive,
-			MaxWorkers:     4,
-			TargetMemBytes: 64 << 20,
-			Generation:     2,
-		})
+		eng, err := stream.New(r, stream.Options{ShardSize: 41})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,7 +466,6 @@ func TestPlannerConformance(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			recipe := randomRecipe(rng)
-			adaptive := seed%2 == 0
 
 			// Planner off: static recipe order, no fusion, no profiles.
 			off := *recipe
@@ -533,15 +503,15 @@ func TestPlannerConformance(t *testing.T) {
 			}
 
 			// Streaming over the same warm sidecar (and a cold one).
-			if got := runStream(t, &on, adaptive); string(got) != string(ref) {
-				t.Fatalf("stream (warm profiles, adaptive=%v) changed the export: %d vs %d bytes",
-					adaptive, len(got), len(ref))
+			if got := runStream(t, &on); string(got) != string(ref) {
+				t.Fatalf("stream (warm profiles) changed the export: %d vs %d bytes",
+					len(got), len(ref))
 			}
 			onStreamCold := on
 			onStreamCold.WorkDir = t.TempDir()
-			if got := runStream(t, &onStreamCold, adaptive); string(got) != string(ref) {
-				t.Fatalf("stream (cold, adaptive=%v) changed the export: %d vs %d bytes",
-					adaptive, len(got), len(ref))
+			if got := runStream(t, &onStreamCold); string(got) != string(ref) {
+				t.Fatalf("stream (cold) changed the export: %d vs %d bytes",
+					len(got), len(ref))
 			}
 
 			// Distributed over the warm sidecar: the coordinator ships the
@@ -554,10 +524,10 @@ func TestPlannerConformance(t *testing.T) {
 				if seed%2 == 0 {
 					workers = 3
 				}
-				got, _ := runDistStream(t, &on, input, adaptive, workers, 41, nil)
+				got, _ := runDistStream(t, &on, input, workers, 41, nil)
 				if string(got) != string(ref) {
-					t.Fatalf("distributed (warm profiles, adaptive=%v, workers=%d) changed the export: %d vs %d bytes",
-						adaptive, workers, len(got), len(ref))
+					t.Fatalf("distributed (warm profiles, workers=%d) changed the export: %d vs %d bytes",
+						workers, len(got), len(ref))
 				}
 			}
 		})
@@ -645,11 +615,8 @@ func TestJitteredShardConformance(t *testing.T) {
 			r.TargetMemMB = mode.targetMB
 			r.IndexPartitions = mode.partitions
 			eng, err := stream.New(&r, stream.Options{
-				ShardSize:      23,
-				MaxWorkers:     4,
-				TargetMemBytes: 64 << 20,
-				Generation:     2,
-				ShardDelay:     jitterDelay(mode.seed),
+				ShardSize:  23,
+				ShardDelay: jitterDelay(mode.seed),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -680,7 +647,7 @@ func TestJitteredShardConformance(t *testing.T) {
 			r := *recipe
 			r.WorkDir = t.TempDir()
 			r.IndexPartitions = 4
-			got, _ := runDistStream(t, &r, input, false, 3, 23, jitterDelay(6))
+			got, _ := runDistStream(t, &r, input, 3, 23, jitterDelay(6))
 			if string(got) != string(ref) {
 				t.Fatalf("jittered distributed export diverges from batch: %d vs %d bytes",
 					len(got), len(ref))

@@ -239,6 +239,68 @@ func TestDistributedChaos(t *testing.T) {
 	}
 }
 
+// TestDistributedFusedMemberCounts pins the fleet's fused-member
+// attribution: every worker flow is folded into the report once, so a
+// fused filter's first member sees exactly the stage's input, every
+// member computes stats for exactly that many samples, and the last
+// member's survivors are the stage's output.
+func TestDistributedFusedMemberCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses")
+	}
+	input := chaosInput(t)
+	r := config.Default()
+	r.ProjectName = "fused-members"
+	r.UseCache = false
+	r.OpFusion = true
+	r.WorkDir = t.TempDir()
+	r.Process = []config.OpSpec{
+		{Name: "whitespace_normalization_mapper"},
+		{Name: "word_num_filter", Params: ops.Params{"min_num": 3}},
+		{Name: "stopwords_filter"},
+		{Name: "flagged_words_filter"},
+	}
+	pool, err := remote.NewPool(remote.PoolOptions{
+		Workers:   2,
+		WorkerBin: disttest.WorkerBin(t),
+		WorkDir:   t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	_, rep, err := runStreamOnce(t, r, input, 40, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Dist == nil || rep.Dist.Fallbacks != 0 {
+		t.Fatalf("want a healthy fleet run, got dist stats %+v", rep.Dist)
+	}
+	fused := 0
+	for _, st := range rep.OpStats {
+		if len(st.Members) == 0 {
+			continue
+		}
+		fused++
+		if got := st.Members[0].In; got != st.InCount {
+			t.Errorf("%s: first member In = %d, stage input = %d", st.Name, got, st.InCount)
+		}
+		if got := st.Members[len(st.Members)-1].Out; got != st.OutCount {
+			t.Errorf("%s: last member Out = %d, stage output = %d", st.Name, got, st.OutCount)
+		}
+		for _, m := range st.Members {
+			if m.Samples != st.InCount {
+				t.Errorf("%s: member %s computed stats for %d samples, stage input = %d",
+					st.Name, m.Name, m.Samples, st.InCount)
+			}
+		}
+	}
+	if fused == 0 {
+		t.Fatal("the plan fused no filters; the recipe no longer exercises fused members")
+	}
+}
+
 // TestDistributedExternalKill covers the failure no in-process fault
 // can model: a fleet member SIGKILLed by the outside world mid-run. The
 // coordinator dials a pre-started fleet (-worker-addrs mode), one

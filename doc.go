@@ -57,15 +57,6 @@
 // docs/recipes.md; the generated operator table is
 // internal/ops/README.md.
 //
-// In adaptive streaming mode (djprocess -stream -adaptive), a runtime
-// controller measures every operator application online through a
-// core.OpRunner observer hook, feeds the live profile into the
-// internal/dist cost model (dist.OnlineModel), and re-plans between
-// shard generations: shard size tracks the measured chain cost, the
-// worker pool grows only while the model says throughput follows, and a
-// resizable in-flight gate applies backpressure at the source so a
-// -target-mem-mb budget holds. Fixed-shard mode remains the default.
-//
 // # Zero-allocation hot path
 //
 // The per-sample inner loop shared by both backends is built to avoid
@@ -84,9 +75,10 @@
 //
 // Choose batch for corpora that fit comfortably in RAM or when probe
 // analysis is wanted; choose streaming (djprocess -stream) for corpora
-// larger than RAM or when output should appear incrementally; add
-// -adaptive when the workload is unprofiled or a memory budget matters.
-// See the README architecture section for the full comparison.
+// larger than RAM or when output should appear incrementally. The
+// streaming schedule is fixed: np workers, -shard-size samples per
+// shard, and at most 2×np shards in flight. See the README architecture
+// section for the full comparison.
 //
 // The implementation lives under internal/; runnable entry points are
 // cmd/djprocess, cmd/djanalyze, cmd/djbench and examples/.

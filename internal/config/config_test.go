@@ -234,13 +234,14 @@ func TestRecipeAddRemoveSetParam(t *testing.T) {
 func TestApplyEnv(t *testing.T) {
 	r := Default()
 	env := map[string]string{
-		"DJ_NP":        "16",
-		"DJ_USE_CACHE": "false",
-		"DJ_OP_FUSION": "1",
-		"DJ_WORK_DIR":  "/tmp/dj",
+		"DJ_NP":            "16",
+		"DJ_USE_CACHE":     "false",
+		"DJ_OP_FUSION":     "1",
+		"DJ_WORK_DIR":      "/tmp/dj",
+		"DJ_TARGET_MEM_MB": "128",
 	}
 	r.ApplyEnv(func(k string) string { return env[k] })
-	if r.NP != 16 || r.UseCache || !r.OpFusion || r.WorkDir != "/tmp/dj" {
+	if r.NP != 16 || r.UseCache || !r.OpFusion || r.WorkDir != "/tmp/dj" || r.TargetMemMB != 128 {
 		t.Fatalf("recipe = %+v", r)
 	}
 }
@@ -269,8 +270,13 @@ func TestLoadYAMLAndJSONFiles(t *testing.T) {
 }
 
 func TestUnknownRecipeKeyRejected(t *testing.T) {
-	if _, err := ParseRecipe("bogus_key: 1\n"); err == nil {
-		t.Fatal("unknown key must be rejected")
+	// adaptive/max_workers belonged to the removed runtime controller;
+	// a recipe still carrying them must fail loudly, not run silently
+	// on the fixed schedule.
+	for _, src := range []string{"bogus_key: 1\n", "adaptive: true\n", "max_workers: 4\n"} {
+		if _, err := ParseRecipe(src); err == nil {
+			t.Fatalf("unknown key must be rejected: %q", src)
+		}
 	}
 }
 
@@ -294,35 +300,5 @@ func TestAllBuiltinRecipesParseAndValidate(t *testing.T) {
 	}
 	if _, err := BuiltinRecipe("no-such-recipe"); err == nil {
 		t.Fatal("unknown builtin must error")
-	}
-}
-
-func TestRecipeAdaptiveKeys(t *testing.T) {
-	r, err := ParseRecipe(`
-project_name: adaptive-keys
-adaptive: true
-max_workers: 12
-target_mem_mb: 512
-process:
-  - whitespace_normalization_mapper:
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Adaptive || r.MaxWorkers != 12 || r.TargetMemMB != 512 {
-		t.Fatalf("adaptive keys not parsed: %+v", r)
-	}
-}
-
-func TestApplyEnvAdaptive(t *testing.T) {
-	r := Default()
-	env := map[string]string{
-		"DJ_ADAPTIVE":      "true",
-		"DJ_MAX_WORKERS":   "7",
-		"DJ_TARGET_MEM_MB": "128",
-	}
-	r.ApplyEnv(func(k string) string { return env[k] })
-	if !r.Adaptive || r.MaxWorkers != 7 || r.TargetMemMB != 128 {
-		t.Fatalf("env overrides not applied: %+v", r)
 	}
 }

@@ -55,18 +55,10 @@ type Recipe struct {
 	// reordering of commutative filter groups. Off, every run plans
 	// from static cost hints and nothing is persisted.
 	UseProfiles bool
-	// Adaptive enables the streaming engine's runtime controller, which
-	// retunes shard size, worker count and backpressure from live
-	// measurements (djprocess -stream -adaptive).
-	Adaptive bool
-	// MaxWorkers caps the adaptive worker pool (0 = max(NP, GOMAXPROCS)).
-	MaxWorkers int
-	// TargetMemMB bounds the text megabytes resident across in-flight
-	// shards in adaptive streaming mode (0 = unbounded). It also caps
-	// the deduplicators' signature/shingle indexes on both backends:
-	// the planner's spill pass hands each dedup op a slice of this
-	// target and the op spills its index to disk when the estimate
-	// exceeds it (see DedupSpill).
+	// TargetMemMB caps the deduplicators' signature/shingle indexes on
+	// both backends, in megabytes (0 = unbounded): the planner's spill
+	// pass hands each dedup op a slice of this target and the op spills
+	// its index to disk when the estimate exceeds it (see DedupSpill).
 	TargetMemMB int
 	// DedupSpill lets deduplicators spill their indexes to budget-
 	// bounded disk runs when TargetMemMB is set. On by default; with no
@@ -141,10 +133,6 @@ func FromMap(m map[string]any) (*Recipe, error) {
 			r.OpFusion = asBool(v)
 		case "use_profiles":
 			r.UseProfiles = asBool(v)
-		case "adaptive":
-			r.Adaptive = asBool(v)
-		case "max_workers":
-			r.MaxWorkers = asInt(v)
 		case "target_mem_mb":
 			r.TargetMemMB = asInt(v)
 		case "dedup_spill":
@@ -186,7 +174,7 @@ func FromMap(m map[string]any) (*Recipe, error) {
 var recipeKeys = []string{
 	"project_name", "dataset_path", "sources", "export_path", "np",
 	"text_key", "use_cache", "use_checkpoint", "cache_compression",
-	"op_fusion", "use_profiles", "adaptive", "max_workers",
+	"op_fusion", "use_profiles",
 	"target_mem_mb", "dedup_spill", "index_partitions", "dist_compress",
 	"trace", "listen", "journal", "work_dir", "process",
 }
@@ -358,14 +346,6 @@ func (r *Recipe) ApplyEnv(getenv func(string) string) {
 	}
 	if v := getenv("DJ_USE_PROFILES"); v != "" {
 		r.UseProfiles = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_ADAPTIVE"); v != "" {
-		r.Adaptive = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_MAX_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			r.MaxWorkers = n
-		}
 	}
 	if v := getenv("DJ_TARGET_MEM_MB"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil {

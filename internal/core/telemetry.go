@@ -9,35 +9,8 @@ import (
 
 // This file adapts core types onto the telemetry substrate
 // (internal/telemetry, which deliberately imports nothing from the rest
-// of the repository): observer fan-out, plan-node registration, journal
-// event construction, and report-row conversion shared by both backends.
-
-// multiObserver fans one observation out to several observers.
-type multiObserver []OpObserver
-
-func (m multiObserver) ObserveOp(o OpObservation) {
-	for _, obs := range m {
-		obs.ObserveOp(o)
-	}
-}
-
-// CombineObservers folds any number of observers (nils skipped) into
-// one. Returns nil when none remain, a lone observer unwrapped.
-func CombineObservers(obs ...OpObserver) OpObserver {
-	var nz []OpObserver
-	for _, o := range obs {
-		if o != nil {
-			nz = append(nz, o)
-		}
-	}
-	switch len(nz) {
-	case 0:
-		return nil
-	case 1:
-		return nz[0]
-	}
-	return multiObserver(nz)
-}
+// of the repository): plan-node registration, journal event
+// construction, and report-row conversion shared by both backends.
 
 // telemetryObserver routes runner observations to per-op instrument
 // handles resolved once at attach time — the hot path is one map lookup

@@ -66,9 +66,12 @@ func (s *ProfileSet) Lookup(key string) (StoredProfile, bool) {
 	return *p, true
 }
 
+// DefaultAlpha is the EWMA smoothing factor of Observe: recent runs
+// dominate, single outliers do not.
+const DefaultAlpha = 0.3
+
 // Observe folds one run's measurement of an operator into the set with
-// the same EWMA smoothing the online model uses: recent runs dominate,
-// single outliers do not. Non-positive costs carry no signal and are
+// DefaultAlpha smoothing. Non-positive costs carry no signal and are
 // ignored.
 func (s *ProfileSet) Observe(key, name string, costNS, selectivity float64) {
 	if costNS <= 0 || selectivity < 0 {

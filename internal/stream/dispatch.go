@@ -139,12 +139,6 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 		li := f.PlanIdx - st.planIdx[0]
 		dur := time.Duration(f.DurNS)
 		p.agg.addOp(f.PlanIdx, int(f.In), int(f.Out), dur, dur, false, 1, 1)
-		if e.ctrl != nil {
-			e.ctrl.ObserveOp(core.OpObservation{
-				Op: st.ops[li], In: int(f.In), Out: int(f.Out),
-				Bytes: f.Bytes, Duration: dur,
-			})
-		}
 		if e.tele != nil {
 			e.tele.Op(f.PlanIdx).Observe(int(f.In), int(f.Out), f.Bytes, dur)
 			e.tele.Emit(telemetry.Event{
@@ -165,31 +159,19 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 }
 
 // mergeMemberFlows folds the fleet's fused-member attribution into the
-// report and executed aggregates, matching members by plan index and
-// name. Entries the coordinator never executed locally still exist
-// (TakeMemberStats reports all members), so this is a sum, not an
-// append, in the common case.
-func mergeMemberFlows(stats, exec []core.OpStat, flows []dist.MemberFlow) {
-	fold := func(ms []plan.MemberStat, f dist.MemberFlow) []plan.MemberStat {
-		for j := range ms {
-			if ms[j].Name == f.Name {
-				ms[j].In += int(f.In)
-				ms[j].Out += int(f.Out)
-				ms[j].Samples += int(f.Samples)
-				ms[j].Duration += time.Duration(f.DurNS)
-				return ms
-			}
-		}
-		return append(ms, plan.MemberStat{
-			Name: f.Name, In: int(f.In), Out: int(f.Out),
-			Samples: int(f.Samples), Duration: time.Duration(f.DurNS),
-		})
-	}
+// report, matching members by plan index and name. Entries the
+// coordinator never executed locally still exist (TakeMemberStats
+// reports all members), so this is a sum, not an append, in the common
+// case.
+func mergeMemberFlows(stats []core.OpStat, flows []dist.MemberFlow) {
 	for _, f := range flows {
 		if f.PlanIdx < 0 || f.PlanIdx >= len(stats) {
 			continue
 		}
-		stats[f.PlanIdx].Members = fold(stats[f.PlanIdx].Members, f)
-		exec[f.PlanIdx].Members = fold(exec[f.PlanIdx].Members, f)
+		st := &stats[f.PlanIdx]
+		st.Members = mergeMembers(st.Members, []plan.MemberStat{{
+			Name: f.Name, In: int(f.In), Out: int(f.Out),
+			Samples: int(f.Samples), Duration: time.Duration(f.DurNS),
+		}})
 	}
 }

@@ -23,12 +23,10 @@
 // shard-local ops is cached per (shard content, op chain) key via
 // internal/cache, so an interrupted run resumes at shard granularity.
 //
-// In adaptive mode (Options.Adaptive) a runtime controller closes the
-// loop between execution and the internal/dist cost model: per-op wall
-// time, selectivity and bytes are observed online, and between shard
-// generations the engine re-plans — resizing the worker pool, re-slicing
-// the source's shard size, and moving the in-flight backpressure gate so
-// a memory target holds. See controller.go and stream.Metrics.
+// The schedule is fixed for the whole run: np workers, ShardSize samples
+// per shard, and at most MaxInFlight shards resident at once. When the
+// sink or an index stage falls behind, the in-flight gate stops the
+// source (backpressure).
 package stream
 
 import (
@@ -56,30 +54,15 @@ const DefaultShardSize = 512
 // Options tunes the engine.
 type Options struct {
 	// ShardSize is the number of samples per shard (DefaultShardSize
-	// when zero). In adaptive mode this is only the starting point.
+	// when zero).
 	ShardSize int
 	// MaxInFlight bounds the shards resident in memory at once —
 	// processing, queued, or waiting for ordered emission. Zero means
-	// twice the worker count. In adaptive mode this is only the starting
-	// point.
+	// twice the worker count.
 	MaxInFlight int
-	// Adaptive enables the runtime controller: per-op wall time,
-	// selectivity and bytes are measured online, fed into the
-	// internal/dist cost model, and the engine re-plans shard size,
-	// worker count and the in-flight bound every few shards.
-	Adaptive bool
-	// MaxWorkers caps the adaptive worker pool (default: the larger of
-	// the recipe's worker count and GOMAXPROCS). Ignored unless Adaptive.
-	MaxWorkers int
-	// TargetMemBytes bounds the text bytes resident across in-flight
-	// shards in adaptive mode (0 = unbounded). Ignored unless Adaptive.
-	TargetMemBytes int64
-	// Generation is the number of emitted shards between controller
-	// re-plans (DefaultGeneration when zero). Ignored unless Adaptive.
-	Generation int
 	// Telemetry, when non-nil, connects the engine to a telemetry run:
 	// per-op metrics, journal events (phases, shard spans, op
-	// completions, cache hits, controller replans), and tracer lineage.
+	// completions, cache hits), and tracer lineage.
 	Telemetry *telemetry.Run
 	// Dispatch, when non-nil, routes shard-local stages to remote
 	// workers (the multi-process coordinator mode). Shared-index and
@@ -105,8 +88,6 @@ type Engine struct {
 	shardSize   int
 	maxInFlight int
 	np          int
-	ctrl        *Controller
-	tuning      dist.Tuning
 	tele        *telemetry.Run
 	dispatch    StageDispatcher
 	shardDelay  func(phase, shard int) time.Duration
@@ -212,51 +193,12 @@ func New(r *config.Recipe, opts Options) (*Engine, error) {
 	if e.maxInFlight < e.np {
 		e.maxInFlight = e.np
 	}
-	if opts.Adaptive {
-		maxWorkers := opts.MaxWorkers
-		if maxWorkers <= 0 {
-			maxWorkers = dataset.Workers(0) // GOMAXPROCS
-			if e.np > maxWorkers {
-				maxWorkers = e.np
-			}
-		}
-		e.tuning = dist.Tuning{
-			MaxWorkers:        maxWorkers,
-			TargetMemBytes:    opts.TargetMemBytes,
-			InFlightPerWorker: 2,
-		}
-		// The caps hold from the first shard, not the first re-plan: an
-		// input too short to reach a generation boundary must still honor
-		// -max-workers.
-		initial := dist.Decision{
-			Workers:     e.np,
-			ShardSize:   e.shardSize,
-			MaxInFlight: e.maxInFlight,
-		}
-		if initial.Workers > maxWorkers {
-			initial.Workers = maxWorkers
-		}
-		if limit := maxWorkers * e.tuning.InFlightPerWorker; initial.MaxInFlight > limit {
-			initial.MaxInFlight = limit
-		}
-		if initial.MaxInFlight < initial.Workers {
-			initial.MaxInFlight = initial.Workers
-		}
-		e.ctrl = newController(p, initial, e.tuning, opts.Generation)
-	}
-	var obs core.OpObserver
-	if e.ctrl != nil {
-		obs = e.ctrl
-	}
 	if opts.Telemetry != nil {
 		e.tele = opts.Telemetry
-		obs = core.CombineObservers(obs, core.AttachTelemetry(e.tele, p))
+		e.runner = e.runner.WithObserver(core.AttachTelemetry(e.tele, p))
 		if tracer != nil {
 			tracer.SetSink(core.TraceJournalSink(e.tele))
 		}
-	}
-	if obs != nil {
-		e.runner = e.runner.WithObserver(obs)
 	}
 	if r.UseCache {
 		store, err := cache.NewStore(filepath.Join(r.WorkDir, "stream-cache"), r.CacheCompression)
@@ -296,14 +238,7 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 
 	if e.tele != nil {
 		e.tele.Emit(core.PlanEvent(e.plan))
-		workers, shardSize, inflight := e.np, e.shardSize, e.maxInFlight
-		if e.ctrl != nil {
-			dec := e.ctrl.Decision()
-			workers, shardSize, inflight = dec.Workers, dec.ShardSize, dec.MaxInFlight
-			ctrl := e.ctrl
-			e.tele.SetProgressExtra(func() any { return ctrl.metrics() })
-		}
-		e.tele.SetControls(workers, shardSize, inflight, 0, e.tuning.TargetMemBytes)
+		e.tele.SetControls(e.np, e.shardSize, e.maxInFlight)
 	}
 
 	cur := src
@@ -328,12 +263,8 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 		emit := func(d *dataset.Dataset) error {
 			if last {
 				totalOut += d.Len()
-				consumeStart := time.Now()
 				if err := sink.Consume(d); err != nil {
 					return err
-				}
-				if e.ctrl != nil {
-					e.ctrl.ObserveSink(d.Len(), time.Since(consumeStart))
 				}
 				e.tele.AddOutput(d.Len())
 				return nil
@@ -382,11 +313,7 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 				Kind: "phase", Phase: pi, DurNS: int64(time.Since(phaseStart)),
 			})
 		}
-		reshardSize := e.shardSize
-		if e.ctrl != nil {
-			reshardSize = e.ctrl.ShardSize()
-		}
-		cur, err = NewDatasetSource(out, reshardSize)
+		cur, err = NewDatasetSource(out, e.shardSize)
 		if err != nil {
 			return nil, err
 		}
@@ -395,21 +322,15 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 		return nil, err
 	}
 	rep := agg.finish(sourceShards, totalIn, totalOut, time.Since(start))
-	if e.ctrl != nil {
-		rep.Metrics = e.ctrl.metrics()
-	}
 	// Attribute fused ops to their members (cumulative across executed
 	// shards — counters never tick on cache hits) and fold the run's
 	// measurements into the profile sidecar so the next plan of this
 	// recipe is ordered by them. Persistence reads the executed-only
 	// aggregates: cache-resumed shard counts must not dilute measured
 	// costs.
-	exec := agg.execStats()
 	for i := range e.plan.Nodes {
 		if ff, ok := e.plan.Nodes[i].Op.(*plan.FusedFilter); ok && !rep.OpStats[i].CacheHit {
-			ms := ff.TakeMemberStats()
-			rep.OpStats[i].Members = ms
-			exec[i].Members = ms
+			rep.OpStats[i].Members = ff.TakeMemberStats()
 		}
 	}
 	// Distributed runs: fold the fleet's quiesced member attribution in
@@ -417,11 +338,17 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 	// above only saw fallback work) and attach the fleet statistics.
 	if e.dispatch != nil {
 		if mf, ok := e.dispatch.(MemberFlusher); ok {
-			mergeMemberFlows(rep.OpStats, exec, mf.FinishMembers())
+			mergeMemberFlows(rep.OpStats, mf.FinishMembers())
 		}
 		if ds, ok := e.dispatch.(dist.Statser); ok {
 			rep.Dist = ds.DistStats()
 		}
+	}
+	// The executed view reads the report's member attribution: each
+	// member flow is counted once, in one place.
+	exec := agg.execStats()
+	for i := range exec {
+		exec[i].Members = rep.OpStats[i].Members
 	}
 	_ = core.PersistProfiles(e.plan, exec)
 	return rep, nil
@@ -468,36 +395,85 @@ func (p *phaseRun) aborted() bool {
 	}
 }
 
+// gate bounds the shards in flight — processing, queued, or waiting for
+// ordered emission. The source blocks in acquire until the emitter
+// releases a slot (backpressure); close aborts every waiter.
+type gate struct {
+	mu       sync.Mutex
+	cond     *sync.Cond
+	limit    int
+	inflight int
+	closed   bool
+}
+
+func newGate(limit int) *gate {
+	if limit < 1 {
+		limit = 1
+	}
+	g := &gate{limit: limit}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+// acquire blocks until a slot is free (or the gate closes — then false).
+// blocked, when non-nil, receives the time spent waiting if the call had
+// to wait at all.
+func (g *gate) acquire(blocked func(time.Duration)) bool {
+	g.mu.Lock()
+	waited := false
+	var start time.Time
+	for g.inflight >= g.limit && !g.closed {
+		if !waited {
+			waited = true
+			start = time.Now()
+		}
+		g.cond.Wait()
+	}
+	if waited && blocked != nil {
+		blocked(time.Since(start))
+	}
+	if g.closed {
+		g.mu.Unlock()
+		return false
+	}
+	g.inflight++
+	g.mu.Unlock()
+	return true
+}
+
+// release frees one slot.
+func (g *gate) release() {
+	g.mu.Lock()
+	g.inflight--
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// close aborts the gate: every current and future acquire returns false.
+func (g *gate) close() {
+	g.mu.Lock()
+	g.closed = true
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
 // runPhase pipelines every shard of src through the phase's stages and
 // hands the results to emit in shard order. It returns the total samples
 // and shards read from src.
 func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []stage, agg *aggregator,
 	emit func(*dataset.Dataset) error) (inCount, shardCount int, err error) {
 
-	// Starting point: the fixed configuration, or the controller's
-	// decision currently in force.
-	limit, workers := e.maxInFlight, e.np
-	if e.ctrl != nil {
-		dec := e.ctrl.Decision()
-		if dec.MaxInFlight > 0 {
-			limit = dec.MaxInFlight
-		}
-		if dec.Workers > 0 {
-			workers = dec.Workers
-		}
-	}
-
 	p := &phaseRun{
 		eng: e, phase: phaseIdx, span: phaseSpan, stages: stages, agg: agg,
 		indexes: map[int]*partIndex{},
 		abort:   make(chan struct{}),
-		gate:    newGate(limit),
+		gate:    newGate(e.maxInFlight),
 	}
 	for i, st := range stages {
 		if st.kind == stageIndex {
-			nparts := resolvePartitions(st.partitions, workers)
+			nparts := resolvePartitions(st.partitions, e.np)
 			stageIdx, stg := i, st
-			p.indexes[i] = newPartIndex(nparts, workers, func(k int) sigIndex {
+			p.indexes[i] = newPartIndex(nparts, e.np, func(k int) sigIndex {
 				return e.newSigIndex(phaseIdx, stageIdx, k, nparts, stg)
 			})
 			if e.tele != nil {
@@ -533,16 +509,10 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 		}
 	}()
 
-	// The done buffer must hold the largest in-flight population any
-	// future decision can allow.
-	bound := e.maxInFlight
-	if e.ctrl != nil {
-		if b := e.tuning.MaxWorkers * e.tuning.InFlightPerWorker; b > bound {
-			bound = b
-		}
-	}
+	// The done buffer holds the whole in-flight population, so workers
+	// never block handing a finished shard to the emitter.
 	work := make(chan *Shard)
-	done := make(chan *Shard, bound)
+	done := make(chan *Shard, e.maxInFlight)
 	counts := make(chan [2]int, 1)
 
 	// Reader: pulls shards from the source, bounded by the in-flight gate
@@ -554,27 +524,13 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 		in, n := 0, 0
 		defer func() { counts <- [2]int{in, n} }()
 		var onBlocked func(time.Duration)
-		if e.ctrl != nil {
-			onBlocked = e.ctrl.observeBackpressure
-		}
 		if e.tele != nil {
-			inner := onBlocked
-			onBlocked = func(d time.Duration) {
-				if inner != nil {
-					inner(d)
-				}
-				e.tele.ObserveBackpressure(d)
-			}
+			onBlocked = e.tele.ObserveBackpressure
 		}
-		sizer, resizable := src.(ShardSizer)
 		for {
 			if !p.gate.acquire(onBlocked) {
 				return // aborted
 			}
-			if e.ctrl != nil && resizable {
-				sizer.SetShardSize(e.ctrl.ShardSize())
-			}
-			readStart := time.Now()
 			sh, err := src.Next()
 			if err == io.EOF {
 				p.gate.release()
@@ -583,9 +539,6 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 			if err != nil {
 				p.fail(err)
 				return
-			}
-			if e.ctrl != nil {
-				e.ctrl.ObserveSource(sh.Data.Len(), sh.Data.TotalBytes(), time.Since(readStart))
 			}
 			if e.tele != nil && phaseIdx == 0 {
 				e.tele.AddInput(sh.Data.Len())
@@ -606,25 +559,28 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 	// channel delivers shards in index order, which guarantees the
 	// lowest in-flight shard is always held by some worker — that shard's
 	// index deposits apply immediately at every partition, so resolution
-	// waits are deadlock-free. The pool only retires workers after they
-	// finish their current shard, preserving that invariant across
-	// resizes.
-	wp := newPool(work, func(sh *Shard) {
-		if p.aborted() {
-			return
-		}
-		if err := p.processShard(sh); err != nil {
-			p.fail(err)
-			return
-		}
-		done <- sh
-	})
-	wp.resize(workers)
-	go func() { wp.wait(); close(done) }()
+	// waits are deadlock-free.
+	var wg sync.WaitGroup
+	for w := 0; w < e.np; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for sh := range work {
+				if p.aborted() {
+					continue
+				}
+				if err := p.processShard(sh); err != nil {
+					p.fail(err)
+					continue
+				}
+				done <- sh
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
 
-	// Ordered emitter (caller goroutine): reorders completed shards,
-	// releases their in-flight slots, and applies controller decisions at
-	// generation boundaries.
+	// Ordered emitter (caller goroutine): reorders completed shards and
+	// releases their in-flight slots.
 	next := 0
 	buf := map[int]*dataset.Dataset{}
 	for sh := range done {
@@ -642,22 +598,6 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 				}
 			}
 			p.gate.release()
-			if e.ctrl != nil {
-				if dec, changed := e.ctrl.shardEmitted(); changed {
-					p.gate.setLimit(dec.MaxInFlight)
-					wp.resize(dec.Workers)
-					if e.tele != nil {
-						est := int64(float64(dec.MaxInFlight) * float64(dec.ShardSize) * dec.PeakBytesPerSample)
-						e.tele.SetControls(dec.Workers, dec.ShardSize, dec.MaxInFlight,
-							est, e.tuning.TargetMemBytes)
-						e.tele.Emit(telemetry.Event{
-							Type: telemetry.EvControllerReplan, Parent: phaseSpan, Phase: phaseIdx,
-							Workers: dec.Workers, ShardSize: dec.ShardSize,
-							MaxInFlight: dec.MaxInFlight, Why: dec.Why, Shard: next,
-						})
-					}
-				}
-			}
 		}
 	}
 	res := <-counts
@@ -810,7 +750,7 @@ func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, chainKey
 func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, shardSpan int64) (*dataset.Dataset, error) {
 	opStart := time.Now()
 	var inBytes int64
-	if p.eng.ctrl != nil || p.eng.tele != nil {
+	if p.eng.tele != nil {
 		inBytes = d.TotalBytes()
 	}
 	// Signatures are pure per-sample work: compute them before touching
@@ -843,16 +783,10 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 	// duration here is single-goroutine CPU time.
 	p.agg.addOp(st.planIdx[0], d.Len(), out.Len(), time.Since(opStart),
 		time.Since(opStart)-wait, false, x.probeWorkers, 1)
-	if p.eng.ctrl != nil {
-		// Resolution wait is backpressure, not work: exclude it from the
-		// cost signal, and tell the model how wide index work can spread.
-		p.eng.ctrl.observeIndexOp(st.dedup, d.Len(), out.Len(), inBytes,
-			time.Since(opStart)-wait, len(x.parts))
-	}
 	if t := p.eng.tele; t != nil {
 		// The shared-index path bypasses the runner observer: feed the
 		// instruments explicitly, with the resolution wait excluded from
-		// the cost signal just like the controller sees it.
+		// the cost signal — queueing is not work.
 		t.Op(st.planIdx[0]).Observe(d.Len(), out.Len(), inBytes, time.Since(opStart)-wait)
 		if wait > 0 {
 			t.ObserveIndexWait(st.dedup.Name(), wait)

@@ -68,8 +68,7 @@ func drainSource(src Source) (lines []string, sizes []int, err error) {
 // FuzzJSONLSource feeds arbitrary bytes through the incremental JSONL
 // source and checks it against the reference parse: same accept/reject
 // verdict, same samples in the same order, and exact shard-size
-// invariants — including under mid-stream re-sizing, the operation the
-// adaptive controller performs.
+// invariants.
 func FuzzJSONLSource(f *testing.F) {
 	f.Add([]byte("{\"text\":\"hello world\"}\n{\"text\":\"second line\"}\n"))
 	f.Add([]byte("\n   \n{\"text\":\"blank lines around\"}\n\n"))
@@ -114,42 +113,6 @@ func FuzzJSONLSource(f *testing.F) {
 			}
 			if i < len(sizes)-1 && n != shardSize {
 				t.Fatalf("non-final shard %d has %d samples; want exactly %d", i, n, shardSize)
-			}
-		}
-
-		// Second pass with mid-stream re-sizing: sample stream must be
-		// unchanged whatever the slicing.
-		src2, err := NewJSONLSource(shardSize, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src2.Close()
-		var resized []string
-		next := shardSize
-		for {
-			src2.SetShardSize(next)
-			next = next%5 + 1 // cycle 1..5
-			sh, err := src2.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("resized pass errored where fixed pass succeeded: %v", err)
-			}
-			for _, s := range sh.Data.Samples {
-				raw, err := json.Marshal(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resized = append(resized, string(raw))
-			}
-		}
-		if len(resized) != len(want) {
-			t.Fatalf("resized pass count diverges: %d vs %d", len(resized), len(want))
-		}
-		for i := range want {
-			if resized[i] != want[i] {
-				t.Fatalf("resized pass sample %d diverges", i)
 			}
 		}
 	})

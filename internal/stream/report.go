@@ -47,9 +47,6 @@ type Report struct {
 	PlanSize int
 	// Total is the end-to-end wall time.
 	Total time.Duration
-	// Metrics is the adaptive controller's self-report (nil when the
-	// engine ran with fixed parameters).
-	Metrics *Metrics
 	// Dist is the worker fleet's statistics (nil for in-process runs).
 	Dist *dist.RunStats
 }
@@ -95,9 +92,6 @@ func (r *Report) Merge(o *Report) {
 	r.ResumedShards += o.ResumedShards
 	if o.Total > r.Total {
 		r.Total = o.Total
-	}
-	if r.Metrics == nil {
-		r.Metrics = o.Metrics
 	}
 	if o.Dist != nil {
 		if r.Dist == nil {
@@ -145,7 +139,6 @@ func (r *Report) Summary() string {
 	}
 	b.WriteString(")\n")
 	b.WriteString(telemetry.FormatOpTable(core.TelemetryRows(r.OpStats)))
-	b.WriteString(r.Metrics.Summary())
 	b.WriteString(r.DistSummary())
 	return b.String()
 }

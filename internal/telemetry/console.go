@@ -37,9 +37,6 @@ func Console(w io.Writer) func(Event) {
 			if e.Phase > 0 {
 				fmt.Fprintf(w, "phase %d: %s\n", e.Phase, e.Name)
 			}
-		case EvControllerReplan:
-			fmt.Fprintf(w, "controller: workers=%d shard=%d inflight=%d (%s)\n",
-				e.Workers, e.ShardSize, e.MaxInFlight, e.Why)
 		case EvExport:
 			fmt.Fprintf(w, "exported to %s\n", e.Input)
 		case EvRunEnd:

@@ -19,24 +19,24 @@ import (
 // field on worker_start, and the bytes_sent/bytes_recv family);
 // version 4 added the partitioned signature index contention events
 // (index, with the partitions/waits fields). Older journals remain
-// valid.
+// valid, except those holding the replan events of the removed runtime
+// controller: the strict reader rejects their event type.
 const SchemaVersion = 4
 
 // Journal event types. Every line in a journal file is one Event whose
 // Type is one of these constants.
 const (
-	EvRunStart         = "run_start"
-	EvPlan             = "plan"
-	EvPhase            = "phase"
-	EvSpanStart        = "span_start"
-	EvSpanEnd          = "span_end"
-	EvOpComplete       = "op_complete"
-	EvControllerReplan = "controller_replan"
-	EvCacheHit         = "cache_hit"
-	EvSpill            = "spill"
-	EvTrace            = "trace"
-	EvExport           = "export"
-	EvRunEnd           = "run_end"
+	EvRunStart   = "run_start"
+	EvPlan       = "plan"
+	EvPhase      = "phase"
+	EvSpanStart  = "span_start"
+	EvSpanEnd    = "span_end"
+	EvOpComplete = "op_complete"
+	EvCacheHit   = "cache_hit"
+	EvSpill      = "spill"
+	EvTrace      = "trace"
+	EvExport     = "export"
+	EvRunEnd     = "run_end"
 
 	// Distributed-runtime events (schema v2). worker_start records one
 	// djworker joining the run; worker_retry records one failed stage
@@ -133,10 +133,8 @@ type Event struct {
 	Partitions int   `json:"partitions,omitempty"`
 	Waits      int64 `json:"waits,omitempty"`
 
-	Workers     int    `json:"workers,omitempty"`
-	ShardSize   int    `json:"shard_size,omitempty"`
-	MaxInFlight int    `json:"max_in_flight,omitempty"`
-	Why         string `json:"why,omitempty"`
+	Workers int    `json:"workers,omitempty"`
+	Why     string `json:"why,omitempty"`
 
 	Status string `json:"status,omitempty"` // run_end: ok | error
 	Error  string `json:"error,omitempty"`
@@ -327,10 +325,6 @@ func validateEvent(lineNo, idx int, e Event) error {
 		}
 		if e.In < 0 || e.Out < 0 {
 			return fail("negative counts")
-		}
-	case EvControllerReplan:
-		if e.Workers <= 0 || e.ShardSize <= 0 {
-			return fail("missing decision fields")
 		}
 	case EvCacheHit:
 		if e.Name == "" {

@@ -19,7 +19,7 @@ func TestGoldenJournalDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantTypes := []string{
-		EvRunStart, EvPlan, EvPhase, EvWorkerStart, EvControllerReplan,
+		EvRunStart, EvPlan, EvPhase, EvWorkerStart,
 		EvCacheHit, EvOpComplete, EvOpComplete, EvSpill, EvIndex, EvWorkerRetry,
 		EvShardSteal, EvSpanEnd, EvTrace, EvWorkerWire, EvExport, EvSpanEnd, EvRunEnd,
 	}
@@ -50,7 +50,7 @@ func TestGoldenJournalDecode(t *testing.T) {
 }
 
 // TestGoldenTimeline reconstructs the golden journal into the timeline
-// view: per-op aggregation, phase/shard attribution, replans.
+// view: per-op aggregation, phase/shard attribution.
 func TestGoldenTimeline(t *testing.T) {
 	events, err := ReadJournal(filepath.Join("testdata", "golden.jsonl"))
 	if err != nil {
@@ -63,7 +63,7 @@ func TestGoldenTimeline(t *testing.T) {
 	if tl.Truncated {
 		t.Error("timeline marked truncated despite run_end")
 	}
-	if tl.Replans != 1 || tl.Shards != 1 || tl.Status != "ok" {
+	if tl.Shards != 1 || tl.Status != "ok" {
 		t.Errorf("headline wrong: %+v", tl)
 	}
 	if len(tl.Ops) != 2 {
@@ -118,7 +118,7 @@ func TestDecodeRejects(t *testing.T) {
 		"missing run_id":   `{"ts":1,"type":"run_start","schema":1,"backend":"b"}`,
 		"unknown type":     `{"ts":1,"type":"run_start","run_id":"r","schema":1,"backend":"b"}` + "\n" + `{"ts":2,"type":"mystery","run_id":"r"}`,
 		"plan without ops": `{"ts":1,"type":"run_start","run_id":"r","schema":1,"backend":"b"}` + "\n" + `{"ts":2,"type":"plan","run_id":"r"}`,
-		"replan no fields": `{"ts":1,"type":"run_start","run_id":"r","schema":1,"backend":"b"}` + "\n" + `{"ts":2,"type":"controller_replan","run_id":"r"}`,
+		"removed replan":   `{"ts":1,"type":"run_start","run_id":"r","schema":4,"backend":"b"}` + "\n" + `{"ts":2,"type":"controller_replan","run_id":"r","workers":4,"shard_size":256}`,
 		"spill no name":    `{"ts":1,"type":"run_start","run_id":"r","schema":1,"backend":"b"}` + "\n" + `{"ts":2,"type":"spill","run_id":"r","spill_runs":3}`,
 		"spill no volume":  `{"ts":1,"type":"run_start","run_id":"r","schema":1,"backend":"b"}` + "\n" + `{"ts":2,"type":"spill","run_id":"r","name":"dedup"}`,
 		"worker_start no worker": `{"ts":1,"type":"run_start","run_id":"r","schema":2,"backend":"b"}` + "\n" +

@@ -4,7 +4,7 @@
 // once at registration, so the hot path never hashes a name or allocates),
 // a structured run journal (an append-only JSONL event stream with a
 // stable schema — run_start, plan, phase, span_start/span_end,
-// op_complete, controller_replan, cache_hit, trace, export, run_end), a
+// op_complete, cache_hit, trace, export, run_end), a
 // live ops endpoint (/metrics in Prometheus text exposition format,
 // /progress JSON snapshots with EWMA rates and a planner-derived ETA,
 // /debug/pprof), and span tracing of pipeline phases and shard

@@ -160,8 +160,6 @@ type Run struct {
 	workers     *Gauge
 	shardSize   *Gauge
 	maxInFlight *Gauge
-	targetMem   *Gauge
-	estMem      *Gauge
 	goroutines  *Gauge
 	heapBytes   *Gauge
 	bpWaits     *Counter
@@ -169,9 +167,6 @@ type Run struct {
 	runInC      *Counter
 	runOutC     *Counter
 	shardHist   *Histogram
-
-	extraMu sync.Mutex
-	extra   func() any // backend-specific /progress section
 
 	backend string
 	recipe  string
@@ -210,8 +205,6 @@ func NewRun(opts RunOptions) (*Run, error) {
 	r.workers = r.Reg.Gauge("dj_workers", "current worker pool size")
 	r.shardSize = r.Reg.Gauge("dj_shard_size", "current shard size in samples")
 	r.maxInFlight = r.Reg.Gauge("dj_max_in_flight", "current in-flight shard budget")
-	r.targetMem = r.Reg.Gauge("dj_target_mem_bytes", "configured memory target in bytes")
-	r.estMem = r.Reg.Gauge("dj_est_inflight_bytes", "estimated peak in-flight bytes")
 	r.goroutines = r.Reg.Gauge("dj_goroutines", "goroutine count at scrape time")
 	r.heapBytes = r.Reg.Gauge("dj_heap_alloc_bytes", "heap allocation at scrape time")
 	r.bpWaits = r.Reg.Counter("dj_backpressure_waits_total", "reader stalls waiting for shard budget")
@@ -408,17 +401,15 @@ func (r *Run) AddOutput(n int) {
 	r.runOutC.Add(int64(n))
 }
 
-// SetControls updates the controller gauges: pool size, shard size,
-// in-flight budget, estimated peak bytes, and the configured target.
-func (r *Run) SetControls(workers, shardSize, maxInFlight int, estBytes, targetBytes int64) {
+// SetControls records the streaming schedule: pool size, shard size,
+// and in-flight shard budget.
+func (r *Run) SetControls(workers, shardSize, maxInFlight int) {
 	if r == nil {
 		return
 	}
 	r.workers.Set(int64(workers))
 	r.shardSize.Set(int64(shardSize))
 	r.maxInFlight.Set(int64(maxInFlight))
-	r.estMem.Set(estBytes)
-	r.targetMem.Set(targetBytes)
 }
 
 // ObserveBackpressure accounts one reader stall.
@@ -482,15 +473,4 @@ func (r *Run) ObserveShard(samples int) {
 		return
 	}
 	r.shardHist.Observe(float64(samples))
-}
-
-// SetProgressExtra installs a backend-specific section rendered into
-// /progress snapshots (e.g. the adaptive controller's latest decision).
-func (r *Run) SetProgressExtra(fn func() any) {
-	if r == nil {
-		return
-	}
-	r.extraMu.Lock()
-	r.extra = fn
-	r.extraMu.Unlock()
 }

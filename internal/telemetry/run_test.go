@@ -156,23 +156,19 @@ func TestSnapshotETA(t *testing.T) {
 	}
 }
 
-func TestSnapshotControlsAndExtra(t *testing.T) {
+func TestSnapshotControls(t *testing.T) {
 	r, err := NewRun(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetControls(4, 512, 8, 1<<20, 64<<20)
+	r.SetControls(4, 512, 8)
 	r.ObserveBackpressure(5 * time.Millisecond)
-	r.SetProgressExtra(func() any { return map[string]int{"gen": 3} })
 	p := r.Snapshot()
-	if p.Controls == nil || p.Controls.Workers != 4 || p.Controls.TargetMemBytes != 64<<20 {
+	if c := p.Controls; c == nil || c.Workers != 4 || c.ShardSize != 512 || c.MaxInFlight != 8 {
 		t.Fatalf("controls wrong: %+v", p.Controls)
 	}
 	if p.Controls.BackpressureWaits != 1 || p.Controls.BackpressureWaitNS != int64(5*time.Millisecond) {
 		t.Errorf("backpressure wrong: %+v", p.Controls)
-	}
-	if p.Extra == nil {
-		t.Error("extra section missing")
 	}
 }
 
@@ -185,7 +181,6 @@ func TestConsoleRendering(t *testing.T) {
 	r.OnEvent(Console(&out))
 	r.Begin("stream", "my-recipe", "in.jsonl", 10)
 	r.Emit(Event{Type: EvPhase, Span: 2, Name: "to barrier dedup", Phase: 1})
-	r.Emit(Event{Type: EvControllerReplan, Workers: 4, ShardSize: 256, MaxInFlight: 8, Why: "cpu"})
 	r.Emit(Event{Type: EvOpComplete, Name: "quiet", In: 1, Out: 1})
 	r.Emit(Event{Type: EvExport, Input: "out.jsonl"})
 	r.End("ok", 10, 8, nil, func(e *Event) { e.Shards = 2; e.PlanOps = 3 })
@@ -193,7 +188,6 @@ func TestConsoleRendering(t *testing.T) {
 	for _, want := range []string{
 		"run con [stream]: my-recipe <- in.jsonl (10 samples)",
 		"phase 1: to barrier dedup",
-		"controller: workers=4 shard=256 inflight=8 (cpu)",
 		"exported to out.jsonl",
 		"processed: 10 -> 8 samples in",
 		"3 planned ops, 2 shards",

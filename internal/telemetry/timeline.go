@@ -73,7 +73,6 @@ type Timeline struct {
 	Dur       time.Duration
 	Shards    int
 	Resumed   int
-	Replans   int
 	Truncated bool // journal had no run_end (crash or live tail)
 
 	Ops     []OpTimeline
@@ -195,8 +194,6 @@ func BuildTimeline(events []Event) (*Timeline, error) {
 			}
 			o.IndexWaits += e.Waits
 			o.IndexWait += time.Duration(e.DurNS)
-		case EvControllerReplan:
-			tl.Replans++
 		case EvWorkerStart:
 			w := laneOf(e.Worker)
 			w.Addr = e.Addr
@@ -275,9 +272,6 @@ func (tl *Timeline) Render() string {
 	default:
 		fmt.Fprintf(&b, "  status: %s after %s: %s\n", tl.Status,
 			tl.Dur.Round(time.Millisecond), tl.Error)
-	}
-	if tl.Replans > 0 {
-		fmt.Fprintf(&b, "  controller replans: %d\n", tl.Replans)
 	}
 
 	if len(tl.Passes) > 0 {
