@@ -180,3 +180,22 @@ func TestAllocsDedupSignature(t *testing.T) {
 		sd.Signature(s)
 	})
 }
+
+// TestAllocsLanguageID: the language_id_score_filter kernel counts packed
+// trigram codes in a pooled buffer, so a steady-state Classify allocates
+// nothing, whichever path the input takes.
+func TestAllocsLanguageID(t *testing.T) {
+	l := text.NewLangID()
+	latin := strings.Repeat("The Quick Brown Fox Jumps over the LAZY Dog; Straße, Über, À la forêt. ", 20)
+	requireAllocBudget(t, "LangID.Classify (mixed-case Latin)", 0, func() {
+		l.Classify(latin)
+	})
+	cjk := strings.Repeat("数据处理系统对于大型语言模型非常重要 ", 20)
+	requireAllocBudget(t, "LangID.Classify (CJK shortcut)", 0, func() {
+		l.Classify(cjk)
+	})
+	invalid := strings.Repeat("the \xc3\x28 quick \xff\xfe brown fox \xed\xa0\x80 ", 20)
+	requireAllocBudget(t, "LangID.Classify (invalid UTF-8)", 0, func() {
+		l.Classify(invalid)
+	})
+}

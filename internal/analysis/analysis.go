@@ -229,8 +229,8 @@ func Analyze(d *dataset.Dataset, np int) *Probe {
 		alnumRatio[i] = text.AlnumRatio(t)
 		specialChar[i] = text.SpecialCharRatio(t)
 		digitRatio[i] = text.DigitRatio(t)
-		charRep[i] = text.RepetitionRatio(text.CharNGrams(t, 10))
-		wordRep[i] = text.RepetitionRatio(text.WordNGrams(words, 5))
+		charRep[i] = text.CharNGramRepetitionRatio(t, 10)
+		wordRep[i] = text.WordNGramRepetitionRatio(words, 5)
 
 		pairCh <- text.VerbNounPairs(words)
 		return nil

@@ -1,17 +1,33 @@
 package text
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
+	"unicode"
 )
 
 // LangID is a character-trigram language identifier, the stand-in for the
 // fasttext model used by the paper's language_id_score_filter. Profiles
 // are built from embedded seed text; Classify returns the best language
 // and a confidence score in [0, 1].
+//
+// A trigram is three runes packed into one uint64 code (trigramCode), so
+// Classify never builds a gram string or a map: it collects the codes of
+// the lower-cased input into a pooled buffer, sorts them, and walks the
+// runs, adding each run's count times the seed counts into one integer
+// dot product per language. Every quantity of the cosine is an integer,
+// which is what makes the kernel allocation-free and its result
+// independent of summation order. Classify is safe for concurrent use.
 type LangID struct {
-	profiles map[string]map[string]float64
+	langs []string // sorted
+	// index maps a seed trigram code to its row in counts; row r holds
+	// the count of that trigram in each language's seed, in langs order.
+	index  map[uint64]int32
+	counts []int64
+	norms  []int64 // Σ count² of each language's seed profile
 }
 
 // seedTexts are small, representative snippets per language. Trigram
@@ -55,22 +71,53 @@ importante para todos estos sistemas y sus usuarios en todas partes`,
 
 // NewLangID builds the identifier from the embedded seed profiles.
 func NewLangID() *LangID {
-	l := &LangID{profiles: make(map[string]map[string]float64, len(seedTexts))}
-	for lang, seed := range seedTexts {
-		l.profiles[lang] = trigramProfile(seed)
+	l := &LangID{index: make(map[uint64]int32)}
+	for lang := range seedTexts {
+		l.langs = append(l.langs, lang)
+	}
+	slices.Sort(l.langs)
+	n := len(l.langs)
+	l.norms = make([]int64, n)
+	for j, lang := range l.langs {
+		// The seed texts are lower case, so lower-casing them as every
+		// input is changes nothing.
+		codes := appendTrigramCodes(nil, seedTexts[lang])
+		slices.Sort(codes)
+		eachRun(codes, func(code uint64, c int64) {
+			row, ok := l.index[code]
+			if !ok {
+				row = int32(len(l.counts) / n)
+				l.index[code] = row
+				l.counts = append(l.counts, make([]int64, n)...)
+			}
+			l.counts[int(row)*n+j] = c
+			l.norms[j] += c * c
+		})
 	}
 	return l
 }
 
 // Languages returns the supported language codes, sorted.
 func (l *LangID) Languages() []string {
-	out := make([]string, 0, len(l.profiles))
-	for k := range l.profiles {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(l.langs)
 }
+
+type langCand struct {
+	lang string
+	sim  float64
+}
+
+// langScratch is the per-call working set of Classify, pooled so a
+// steady-state call allocates nothing.
+type langScratch struct {
+	codes []uint64
+	dots  []int64
+	cands []langCand
+}
+
+var langScratchPool = sync.Pool{New: func() any {
+	return &langScratch{codes: make([]uint64, 0, 1024)}
+}}
 
 // Classify returns the most likely language for s and a confidence score
 // in [0, 1]. Empty or too-short input yields ("", 0).
@@ -79,38 +126,52 @@ func (l *LangID) Classify(s string) (lang string, score float64) {
 	if r := CJKRatio(s); r > 0.5 {
 		return "zh", r
 	}
-	p := trigramProfile(strings.ToLower(s))
-	if len(p) == 0 {
+	sc := langScratchPool.Get().(*langScratch)
+	defer langScratchPool.Put(sc)
+	sc.codes = appendTrigramCodes(sc.codes[:0], s)
+	if len(sc.codes) == 0 {
 		return "", 0
 	}
-	type cand struct {
-		lang string
-		sim  float64
-	}
-	cands := make([]cand, 0, len(l.profiles))
-	for lg, prof := range l.profiles {
-		cands = append(cands, cand{lg, cosine(p, prof)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].sim != cands[j].sim {
-			return cands[i].sim > cands[j].sim
+	slices.Sort(sc.codes)
+	n := len(l.langs)
+	sc.dots = append(sc.dots[:0], make([]int64, n)...)
+	var norm int64
+	eachRun(sc.codes, func(code uint64, c int64) {
+		norm += c * c
+		if row, ok := l.index[code]; ok {
+			seed := l.counts[int(row)*n : int(row)*n+n]
+			for j, sv := range seed {
+				sc.dots[j] += c * sv
+			}
 		}
-		return cands[i].lang < cands[j].lang
 	})
-	best := cands[0]
+	sc.cands = sc.cands[:0]
+	for j, lg := range l.langs {
+		sc.cands = append(sc.cands, langCand{lg, cosine(sc.dots[j], norm, l.norms[j])})
+	}
+	// Rank by similarity descending, then language.
+	slices.SortFunc(sc.cands, func(a, b langCand) int {
+		if c := cmp.Compare(b.sim, a.sim); c != 0 {
+			return c
+		}
+		return strings.Compare(a.lang, b.lang)
+	})
+	best := sc.cands[0]
 	if best.sim <= 0 {
 		return "", 0
 	}
 	// Confidence: the winner's share of total similarity mass, sharpened;
 	// short texts with ambiguous trigrams land near 1/len(languages).
+	// The similarities are not integers, so the total is summed in the
+	// fixed ranked order.
 	total := 0.0
-	for _, c := range cands {
+	for _, c := range sc.cands {
 		total += c.sim
 	}
 	conf := best.sim / total
 	// Rescale from [1/n, 1] to [0, 1].
-	n := float64(len(cands))
-	conf = (conf - 1/n) / (1 - 1/n)
+	nf := float64(len(sc.cands))
+	conf = (conf - 1/nf) / (1 - 1/nf)
 	if conf < 0 {
 		conf = 0
 	}
@@ -126,48 +187,55 @@ func (l *LangID) Score(s, want string) float64 {
 	return score
 }
 
-func trigramProfile(s string) map[string]float64 {
-	grams := CharNGrams(s, 3)
-	if len(grams) == 0 {
-		return nil
-	}
-	p := make(map[string]float64, len(grams))
-	for _, g := range grams {
-		if strings.TrimSpace(g) == "" {
-			continue
-		}
-		p[g]++
-	}
-	return p
+// trigramCode packs three runes into one code. Runes are at most
+// U+10FFFF, so 21 bits each hold them and distinct trigrams get
+// distinct codes.
+func trigramCode(a, b, c rune) uint64 {
+	return uint64(a)<<42 | uint64(b)<<21 | uint64(c)
 }
 
-// cosine sums in sorted key order so the score does not depend on Go's
-// randomized map iteration (float addition is not associative; a
-// nondeterministic sum would make filter verdicts nondeterministic).
-func cosine(a, b map[string]float64) float64 {
-	keysA := make([]string, 0, len(a))
-	for k := range a {
-		keysA = append(keysA, k)
-	}
-	sort.Strings(keysA)
-	var dot, na, nb float64
-	for _, k := range keysA {
-		av := a[k]
-		na += av * av
-		if bv, ok := b[k]; ok {
-			dot += av * bv
+// appendTrigramCodes appends the code of every overlapping rune trigram
+// of s, lower-casing each rune first, and skips trigrams made only of
+// white space. Ranging over s decodes an invalid byte as U+FFFD, and
+// unicode.ToLower maps rune for rune, so the trigrams are exactly those
+// of []rune(strings.ToLower(s)).
+func appendTrigramCodes(dst []uint64, s string) []uint64 {
+	var r0, r1 rune
+	var sp0, sp1 bool
+	i := 0
+	for _, r := range s {
+		r = unicode.ToLower(r)
+		sp := unicode.IsSpace(r)
+		if i >= 2 && !(sp0 && sp1 && sp) {
+			dst = append(dst, trigramCode(r0, r1, r))
 		}
+		r0, r1, sp0, sp1 = r1, r, sp1, sp
+		i++
 	}
-	keysB := make([]string, 0, len(b))
-	for k := range b {
-		keysB = append(keysB, k)
+	return dst
+}
+
+// eachRun calls fn once per distinct code of the sorted codes with its
+// multiplicity.
+func eachRun(codes []uint64, fn func(code uint64, count int64)) {
+	for i := 0; i < len(codes); {
+		j := i + 1
+		for j < len(codes) && codes[j] == codes[i] {
+			j++
+		}
+		fn(codes[i], int64(j-i))
+		i = j
 	}
-	sort.Strings(keysB)
-	for _, k := range keysB {
-		nb += b[k] * b[k]
-	}
+}
+
+// cosine is the cosine similarity of two count vectors given their dot
+// product and squared norms. All three are sums of products of small
+// integers, exact in int64 and exactly representable as float64, so the
+// result does not depend on the order the trigrams are visited in and
+// needs no sort to be deterministic.
+func cosine(dot, na, nb int64) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	return float64(dot) / (math.Sqrt(float64(na)) * math.Sqrt(float64(nb)))
 }
