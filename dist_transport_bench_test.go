@@ -1,8 +1,8 @@
-// BenchmarkDistTransport measures the dispatch wire: the v1 JSON-text
-// frames against v2 columnar frames and v2 with lzj block compression,
-// on a filter-heavy recipe (delta-eligible stages answer with keep
-// masks) and a mapper-heavy one (full frames both ways). Captured
-// numbers live in BENCH_dist_transport.json.
+// BenchmarkDistTransport measures the dispatch wire on a 2-worker fleet
+// with a filter-heavy recipe (delta-eligible stages answer with keep
+// masks) and a mapper-heavy one (full frames both ways), reporting the
+// bytes each direction carried. The repo benchmark's fleet-filter
+// workload (BENCHMARK.json) is the end-to-end record for this path.
 package repro_test
 
 import (
@@ -58,11 +58,11 @@ func transportBenchInput(b *testing.B) string {
 	return path
 }
 
-func benchTransportOnce(b *testing.B, kind string, maxProto int, compress bool) {
+func benchTransportOnce(b *testing.B, kind string) {
 	b.Helper()
 	input := transportBenchInput(b)
 	bin := disttest.WorkerBin(b)
-	var sent, recv, rawSent, rawRecv int64
+	var sent, recv int64
 	var deltaStages, outDocs int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -70,12 +70,10 @@ func benchTransportOnce(b *testing.B, kind string, maxProto int, compress bool) 
 		b.StopTimer()
 		r := transportBenchRecipe(kind)
 		r.WorkDir = b.TempDir()
-		r.DistCompress = compress
 		pool, err := remote.NewPool(remote.PoolOptions{
 			Workers:   2,
 			WorkerBin: bin,
 			WorkDir:   r.WorkDir,
-			MaxProto:  maxProto,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -99,7 +97,6 @@ func benchTransportOnce(b *testing.B, kind string, maxProto int, compress bool) 
 		b.StopTimer()
 		st := pool.DistStats()
 		sent, recv = st.BytesSent, st.BytesRecv
-		rawSent, rawRecv = st.RawBytesSent, st.RawBytesRecv
 		deltaStages = st.DeltaStages
 		outDocs = rep.OutCount
 		pool.Close()
@@ -107,17 +104,12 @@ func benchTransportOnce(b *testing.B, kind string, maxProto int, compress bool) 
 	}
 	b.ReportMetric(float64(sent)/(1<<20), "sent-MiB")
 	b.ReportMetric(float64(recv)/(1<<20), "recv-MiB")
-	b.ReportMetric(float64(rawSent+rawRecv)/(1<<20), "raw-MiB")
 	b.ReportMetric(float64(deltaStages), "delta-stages")
 	b.ReportMetric(float64(outDocs), "docs-out")
 }
 
 func BenchmarkDistTransport(b *testing.B) {
 	for _, kind := range []string{"filter-heavy", "mapper-heavy"} {
-		b.Run(kind, func(b *testing.B) {
-			b.Run("v1", func(b *testing.B) { benchTransportOnce(b, kind, 1, false) })
-			b.Run("v2", func(b *testing.B) { benchTransportOnce(b, kind, 0, false) })
-			b.Run("v2-compress", func(b *testing.B) { benchTransportOnce(b, kind, 0, true) })
-		})
+		b.Run(kind, func(b *testing.B) { benchTransportOnce(b, kind) })
 	}
 }

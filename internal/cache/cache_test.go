@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +184,63 @@ func TestStoreKeysAndDelete(t *testing.T) {
 	}
 	if size, err := store.SizeOnDisk(); err != nil || size <= 0 {
 		t.Fatalf("SizeOnDisk = %d, %v", size, err)
+	}
+}
+
+// TestStoreConcurrentPutSameKey races many writers on one key, as two
+// in-flight shards with identical content (or two processes sharing a
+// work dir) do: every Put must succeed, Get must return the dataset,
+// and no temp file may be left behind.
+func TestStoreConcurrentPutSameKey(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir, "lzj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sampleDataset(40)
+	const writers, rounds = 8, 50
+	errs := make(chan error, writers*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := store.Put("samekey", d); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	failed := 0
+	for err := range errs {
+		if failed == 0 {
+			t.Errorf("concurrent Put failed: %v", err)
+		}
+		failed++
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d concurrent Puts failed", failed, writers*rounds)
+	}
+	got, ok, err := store.Get("samekey")
+	if err != nil || !ok {
+		t.Fatalf("Get = %v, %v", ok, err)
+	}
+	if got.Fingerprint() != d.Fingerprint() {
+		t.Fatal("concurrent Puts corrupted the entry")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("cache dir holds %v, want the one entry", names)
 	}
 }
 

@@ -73,11 +73,33 @@ func (s *Store) Put(key string, d *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	tmp := s.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, enc, 0o644); err != nil {
+	return writeFileAtomic(s.path(key), enc)
+}
+
+// writeFileAtomic writes data to a uniquely named temp file beside path
+// and renames it over path, so concurrent writers of one path (two
+// in-flight shards with identical content, two processes sharing a work
+// dir) never share a temp file and readers never see a partial file.
+// The temp file is removed on any error.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.path(key))
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Get loads the dataset stored under key; ok is false on a cache miss.
@@ -216,11 +238,7 @@ func (m *CheckpointManager) Save(recipeFP string, opIndex int, d *dataset.Datase
 	if err != nil {
 		return err
 	}
-	tmp := m.manifestPath() + ".tmp"
-	if err := os.WriteFile(tmp, manifest, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, m.manifestPath()); err != nil {
+	if err := writeFileAtomic(m.manifestPath(), manifest); err != nil {
 		return err
 	}
 	// Only now is it safe to drop the previous state file.

@@ -270,10 +270,11 @@ func TestLoadYAMLAndJSONFiles(t *testing.T) {
 }
 
 func TestUnknownRecipeKeyRejected(t *testing.T) {
-	// adaptive/max_workers belonged to the removed runtime controller;
-	// a recipe still carrying them must fail loudly, not run silently
-	// on the fixed schedule.
-	for _, src := range []string{"bogus_key: 1\n", "adaptive: true\n", "max_workers: 4\n"} {
+	// adaptive/max_workers belonged to the removed runtime controller
+	// and dist_compress to the removed dispatch frame compression; a
+	// recipe still carrying them must fail loudly, not run silently
+	// without them.
+	for _, src := range []string{"bogus_key: 1\n", "adaptive: true\n", "max_workers: 4\n", "dist_compress: true\n"} {
 		if _, err := ParseRecipe(src); err == nil {
 			t.Fatalf("unknown key must be rejected: %q", src)
 		}

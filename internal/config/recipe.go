@@ -71,11 +71,6 @@ type Recipe struct {
 	// Values round up to a power of two. Partitioning changes wall-clock
 	// parallelism only, never the kept set.
 	IndexPartitions int
-	// DistCompress enables lzj compression of the frames exchanged with
-	// djworker fleets over the v2 dispatch wire (djprocess -dist-compress,
-	// recipe key dist_compress). v1 workers ignore it. Off by default:
-	// loopback fleets are rarely bandwidth-bound.
-	DistCompress bool
 	// EnableTrace records per-OP lineage for the tracer.
 	EnableTrace bool
 	// Listen, when non-empty, serves the live ops endpoint on this
@@ -139,8 +134,6 @@ func FromMap(m map[string]any) (*Recipe, error) {
 			r.DedupSpill = asBool(v)
 		case "index_partitions":
 			r.IndexPartitions = asInt(v)
-		case "dist_compress":
-			r.DistCompress = asBool(v)
 		case "trace":
 			r.EnableTrace = asBool(v)
 		case "listen":
@@ -175,7 +168,7 @@ var recipeKeys = []string{
 	"project_name", "dataset_path", "sources", "export_path", "np",
 	"text_key", "use_cache", "use_checkpoint", "cache_compression",
 	"op_fusion", "use_profiles",
-	"target_mem_mb", "dedup_spill", "index_partitions", "dist_compress",
+	"target_mem_mb", "dedup_spill", "index_partitions",
 	"trace", "listen", "journal", "work_dir", "process",
 }
 
@@ -359,9 +352,6 @@ func (r *Recipe) ApplyEnv(getenv func(string) string) {
 		if n, err := strconv.Atoi(v); err == nil {
 			r.IndexPartitions = n
 		}
-	}
-	if v := getenv("DJ_DIST_COMPRESS"); v != "" {
-		r.DistCompress = v == "true" || v == "1"
 	}
 	if v := getenv("DJ_EXPORT_PATH"); v != "" {
 		r.ExportPath = v

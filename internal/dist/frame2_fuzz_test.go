@@ -7,7 +7,7 @@ import (
 	"repro/internal/sample"
 )
 
-// FuzzFrame2Decode throws arbitrary bytes at the v2 frame decoder. The
+// FuzzFrame2Decode throws arbitrary bytes at the frame decoder. The
 // invariant under test is the retry contract: a truncated or corrupt
 // frame must surface as an error — never a panic, hang, or unbounded
 // allocation — so the scheduler can re-dispatch the shard elsewhere.
@@ -15,16 +15,16 @@ func FuzzFrame2Decode(f *testing.F) {
 	seed := func(b []byte) { f.Add(b) }
 
 	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, RunHeader{RunID: "f", Shard: 1}, richDataset(), false); err != nil {
+	if _, err := WriteFrame2(&buf, RunHeader{RunID: "f", Shard: 1}, richDataset()); err != nil {
 		f.Fatal(err)
 	}
 	seed(append([]byte(nil), buf.Bytes()...))
 
-	buf.Reset()
-	if _, _, err := WriteFrame2(&buf, RunHeader{RunID: "f"}, richDataset(), true); err != nil {
-		f.Fatal(err)
-	}
-	seed(append([]byte(nil), buf.Bytes()...))
+	// The same frame with the reserved flag bit 0 set: decode must
+	// reject it.
+	flagged := append([]byte(nil), buf.Bytes()...)
+	flagged[bytes.IndexByte(flagged, '\n')+1+5] |= 1
+	seed(flagged)
 
 	in := make([]*sample.Sample, 12)
 	for i := range in {
@@ -33,7 +33,7 @@ func FuzzFrame2Decode(f *testing.F) {
 	}
 	mask, _ := BuildKeepMask(in, in[:7])
 	buf.Reset()
-	if _, _, err := WriteDeltaFrame2(&buf, ResultHeader{Delta: true, Samples: 7}, mask, len(in), in[:7], true); err != nil {
+	if _, err := WriteDeltaFrame2(&buf, ResultHeader{Delta: true, Samples: 7}, mask, len(in), in[:7]); err != nil {
 		f.Fatal(err)
 	}
 	seed(append([]byte(nil), buf.Bytes()...))
@@ -61,8 +61,8 @@ func FuzzFrame2Decode(f *testing.F) {
 				t.Fatalf("delta keeps %d of %d inputs", frame.Data.Len(), frame.InCount)
 			}
 		}
-		if frame.Wire <= 0 || frame.Raw <= 0 {
-			t.Fatalf("nonpositive accounting: wire=%d raw=%d", frame.Wire, frame.Raw)
+		if frame.Wire <= 0 {
+			t.Fatalf("nonpositive accounting: wire=%d", frame.Wire)
 		}
 	})
 }

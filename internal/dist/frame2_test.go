@@ -10,7 +10,7 @@ import (
 	"repro/internal/sample"
 )
 
-// richDataset builds samples exercising every column the v2 frame
+// richDataset builds samples exercising every column the frame
 // carries: bare text, parts, meta, stats, and unicode payloads.
 func richDataset() *dataset.Dataset {
 	a := sample.New("plain text only")
@@ -37,53 +37,45 @@ func jsonl(t *testing.T, d *dataset.Dataset) []byte {
 }
 
 func TestFrame2RoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
+	// Frames carry their columns uncompressed ("plain").
+	t.Run("plain", func(t *testing.T) {
+		d := richDataset()
+		h := RunHeader{RunID: "r2", Shard: 7, FromOp: 0, ToOp: 2, Samples: d.Len()}
+		var buf bytes.Buffer
+		wire, err := WriteFrame2(&buf, h, d)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			d := richDataset()
-			h := RunHeader{RunID: "r2", Shard: 7, FromOp: 0, ToOp: 2, Samples: d.Len(), Compress: compress}
-			var buf bytes.Buffer
-			wire, raw, err := WriteFrame2(&buf, h, d, compress)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wire != int64(buf.Len()) {
-				t.Errorf("wire count %d, buffer holds %d", wire, buf.Len())
-			}
-			if raw <= 0 {
-				t.Errorf("raw count %d, want positive", raw)
-			}
-			fr := NewFrame2Reader(&buf)
-			var got RunHeader
-			if err := fr.Header(&got); err != nil {
-				t.Fatal(err)
-			}
-			if got != h {
-				t.Errorf("header round trip: got %+v want %+v", got, h)
-			}
-			f, err := fr.Body()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Delta {
-				t.Error("full frame decoded as delta")
-			}
-			if f.Wire != wire || f.Raw != raw {
-				t.Errorf("reader accounting wire=%d raw=%d, writer said %d/%d", f.Wire, f.Raw, wire, raw)
-			}
-			if !bytes.Equal(jsonl(t, f.Data), jsonl(t, d)) {
-				t.Error("payload not byte-identical after round trip")
-			}
-		})
-	}
+		if wire != int64(buf.Len()) {
+			t.Errorf("wire count %d, buffer holds %d", wire, buf.Len())
+		}
+		fr := NewFrame2Reader(&buf)
+		var got RunHeader
+		if err := fr.Header(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got != h {
+			t.Errorf("header round trip: got %+v want %+v", got, h)
+		}
+		f, err := fr.Body()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Delta {
+			t.Error("full frame decoded as delta")
+		}
+		if f.Wire != wire {
+			t.Errorf("reader accounting wire=%d, writer said %d", f.Wire, wire)
+		}
+		if !bytes.Equal(jsonl(t, f.Data), jsonl(t, d)) {
+			t.Error("payload not byte-identical after round trip")
+		}
+	})
 }
 
 func TestFrame2EmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, ResultHeader{Shard: 3}, dataset.New(nil), false); err != nil {
+	if _, err := WriteFrame2(&buf, ResultHeader{Shard: 3}, dataset.New(nil)); err != nil {
 		t.Fatal(err)
 	}
 	fr := NewFrame2Reader(&buf)
@@ -109,7 +101,7 @@ func TestFrame2ManyBatches(t *testing.T) {
 	}
 	d := dataset.New(samples)
 	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, RunHeader{}, d, true); err != nil {
+	if _, err := WriteFrame2(&buf, RunHeader{}, d); err != nil {
 		t.Fatal(err)
 	}
 	fr := NewFrame2Reader(&buf)
@@ -127,60 +119,55 @@ func TestFrame2ManyBatches(t *testing.T) {
 }
 
 func TestFrame2DeltaRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
+	// Frames carry their columns uncompressed ("plain").
+	t.Run("plain", func(t *testing.T) {
+		in := make([]*sample.Sample, 21)
+		for i := range in {
+			in[i] = sample.New(strings.Repeat("s", i+1))
 		}
-		t.Run(name, func(t *testing.T) {
-			in := make([]*sample.Sample, 21)
-			for i := range in {
-				in[i] = sample.New(strings.Repeat("s", i+1))
+		var kept []*sample.Sample
+		for i, s := range in {
+			if i%3 != 0 { // drop every third sample
+				s.SetStat("keep_score", float64(i))
+				kept = append(kept, s)
 			}
-			var kept []*sample.Sample
-			for i, s := range in {
-				if i%3 != 0 { // drop every third sample
-					s.SetStat("keep_score", float64(i))
-					kept = append(kept, s)
-				}
+		}
+		mask, ok := BuildKeepMask(in, kept)
+		if !ok {
+			t.Fatal("BuildKeepMask rejected an ordered subset")
+		}
+		var buf bytes.Buffer
+		rh := ResultHeader{Shard: 5, Samples: len(kept), Delta: true}
+		if _, err := WriteDeltaFrame2(&buf, rh, mask, len(in), kept); err != nil {
+			t.Fatal(err)
+		}
+		fr := NewFrame2Reader(&buf)
+		var got ResultHeader
+		if err := fr.Header(&got); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fr.Body()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.Delta || f.InCount != len(in) || f.Data.Len() != len(kept) {
+			t.Fatalf("delta frame decoded wrong: delta=%v in=%d kept=%d", f.Delta, f.InCount, f.Data.Len())
+		}
+		applied := ApplyKeepMask(in, f.Mask)
+		if len(applied) != len(kept) {
+			t.Fatalf("mask selects %d samples, want %d", len(applied), len(kept))
+		}
+		for i, s := range applied {
+			if s != kept[i] {
+				t.Fatalf("mask selected wrong sample at %d", i)
 			}
-			mask, ok := BuildKeepMask(in, kept)
-			if !ok {
-				t.Fatal("BuildKeepMask rejected an ordered subset")
+			want, _ := kept[i].Stat("keep_score")
+			got, ok := f.Data.Samples[i].Stat("keep_score")
+			if !ok || got != want {
+				t.Errorf("stats column entry %d: got %v (%v), want %v", i, got, ok, want)
 			}
-			var buf bytes.Buffer
-			rh := ResultHeader{Shard: 5, Samples: len(kept), Delta: true}
-			if _, _, err := WriteDeltaFrame2(&buf, rh, mask, len(in), kept, compress); err != nil {
-				t.Fatal(err)
-			}
-			fr := NewFrame2Reader(&buf)
-			var got ResultHeader
-			if err := fr.Header(&got); err != nil {
-				t.Fatal(err)
-			}
-			f, err := fr.Body()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !f.Delta || f.InCount != len(in) || f.Data.Len() != len(kept) {
-				t.Fatalf("delta frame decoded wrong: delta=%v in=%d kept=%d", f.Delta, f.InCount, f.Data.Len())
-			}
-			applied := ApplyKeepMask(in, f.Mask)
-			if len(applied) != len(kept) {
-				t.Fatalf("mask selects %d samples, want %d", len(applied), len(kept))
-			}
-			for i, s := range applied {
-				if s != kept[i] {
-					t.Fatalf("mask selected wrong sample at %d", i)
-				}
-				want, _ := kept[i].Stat("keep_score")
-				got, ok := f.Data.Samples[i].Stat("keep_score")
-				if !ok || got != want {
-					t.Errorf("stats column entry %d: got %v (%v), want %v", i, got, ok, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestBuildKeepMaskRejectsNonSubset(t *testing.T) {
@@ -197,36 +184,12 @@ func TestBuildKeepMaskRejectsNonSubset(t *testing.T) {
 	}
 }
 
-// TestFrame2Compression checks compression actually shrinks a
-// repetitive payload and the raw accounting reports the savings.
-func TestFrame2Compression(t *testing.T) {
-	samples := make([]*sample.Sample, 64)
-	for i := range samples {
-		samples[i] = sample.New(strings.Repeat("the same compressible sentence. ", 40))
-	}
-	d := dataset.New(samples)
-	var plain, comp bytes.Buffer
-	if _, _, err := WriteFrame2(&plain, RunHeader{}, d, false); err != nil {
-		t.Fatal(err)
-	}
-	wire, raw, err := WriteFrame2(&comp, RunHeader{}, d, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= plain.Len()/2 {
-		t.Errorf("compressed frame %d bytes, plain %d: expected >2x shrink", comp.Len(), plain.Len())
-	}
-	if wire >= raw {
-		t.Errorf("accounting says wire %d >= raw %d for compressible data", wire, raw)
-	}
-}
-
 // corruptAt returns a valid encoded frame with one byte mutated at the
 // given offset past the JSON header line.
 func corruptAt(t *testing.T, off int, xor byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, RunHeader{RunID: "c"}, richDataset(), false); err != nil {
+	if _, err := WriteFrame2(&buf, RunHeader{RunID: "c"}, richDataset()); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -254,9 +217,11 @@ func TestFrame2RejectsCorruption(t *testing.T) {
 		"bad magic":        corruptAt(t, 0, 0xff),
 		"bad version":      corruptAt(t, 4, 0x01),
 		"unknown flags":    corruptAt(t, 5, 0x80),
+		"flag bit 0 set":   corruptAt(t, 5, 0x01),
 		"reserved nonzero": corruptAt(t, 6, 0x01),
 		"huge count":       corruptAt(t, 11, 0xff), // top byte of sample count
 		"bad batch count":  corruptAt(t, 16, 0x40),
+		"garbage header":   []byte("not json\n"),
 	}
 	for name, b := range cases {
 		if err := decodeFrame2(b); err == nil {
@@ -267,7 +232,7 @@ func TestFrame2RejectsCorruption(t *testing.T) {
 
 func TestFrame2RejectsTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, RunHeader{RunID: "t"}, richDataset(), false); err != nil {
+	if _, err := WriteFrame2(&buf, RunHeader{RunID: "t"}, richDataset()); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -278,27 +243,6 @@ func TestFrame2RejectsTruncation(t *testing.T) {
 		if err := decodeFrame2(full[:cut]); err == nil {
 			t.Errorf("decode accepted a frame truncated at %d/%d", cut, len(full))
 		}
-	}
-}
-
-func TestFrame2RejectsCorruptBlock(t *testing.T) {
-	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, RunHeader{}, richDataset(), true); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	nl := bytes.IndexByte(raw, '\n')
-	// Inflate the first block's claimed encoded length.
-	bad := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(bad[nl+1+frame2HeaderSize:], uint32(frame2MaxBlockEnc+1))
-	if err := decodeFrame2(bad); err == nil {
-		t.Error("decode accepted an implausible block length")
-	}
-	// Flip a byte inside the lzj payload.
-	bad = append([]byte(nil), raw...)
-	bad[nl+1+frame2HeaderSize+12] ^= 0xff
-	if err := decodeFrame2(bad); err == nil {
-		t.Error("decode accepted a corrupt compressed block")
 	}
 }
 
@@ -314,7 +258,7 @@ func TestFrame2RejectsBadDelta(t *testing.T) {
 	}
 	encode := func(mask []byte, inCount int, kept []*sample.Sample) []byte {
 		var buf bytes.Buffer
-		if _, _, err := WriteDeltaFrame2(&buf, ResultHeader{Delta: true}, mask, inCount, kept, false); err != nil {
+		if _, err := WriteDeltaFrame2(&buf, ResultHeader{Delta: true}, mask, inCount, kept); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -342,7 +286,7 @@ func TestFrame2RejectsBadDelta(t *testing.T) {
 	}
 	// Full frame claiming a nonzero input count.
 	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, RunHeader{}, frameDataset("a"), false); err != nil {
+	if _, err := WriteFrame2(&buf, RunHeader{}, frameDataset("a")); err != nil {
 		t.Fatal(err)
 	}
 	fb := buf.Bytes()
@@ -353,29 +297,7 @@ func TestFrame2RejectsBadDelta(t *testing.T) {
 		t.Error("decode accepted a full frame with a delta input count")
 	}
 	// Mask length validation on the writer side.
-	if _, _, err := WriteDeltaFrame2(&buf, ResultHeader{}, mask[:1], len(in), kept, false); err == nil {
+	if _, err := WriteDeltaFrame2(&buf, ResultHeader{}, mask[:1], len(in), kept); err == nil {
 		t.Error("writer accepted a short mask")
-	}
-}
-
-// TestWorkerClientProtoNegotiation pins the clamping rules: a worker
-// that never answers with a proto (an old binary) stays on v1, and
-// SetProto never exceeds the coordinator's own maximum.
-func TestWorkerClientProtoNegotiation(t *testing.T) {
-	c := &WorkerClient{}
-	if c.Proto() != ProtoVersion {
-		t.Errorf("zero-value proto %d, want %d", c.Proto(), ProtoVersion)
-	}
-	c.SetProto(0) // v1 worker: no proto field in ConfigureResponse
-	if c.Proto() != ProtoVersion {
-		t.Errorf("proto after SetProto(0): %d, want %d", c.Proto(), ProtoVersion)
-	}
-	c.SetProto(ProtoV2)
-	if c.Proto() != ProtoV2 {
-		t.Errorf("proto after SetProto(2): %d, want %d", c.Proto(), ProtoV2)
-	}
-	c.SetProto(99) // future worker: clamp to what we speak
-	if c.Proto() != MaxProtoVersion {
-		t.Errorf("proto after SetProto(99): %d, want %d", c.Proto(), MaxProtoVersion)
 	}
 }

@@ -172,38 +172,32 @@ func (s *Scheduler) Stats() RunStats {
 }
 
 // WorkerRunStat is one worker's tally for the run report. The byte
-// counters account completed stage exchanges: BytesSent/BytesRecv are
-// on-wire, the Raw variants their uncompressed equivalents (equal
-// unless dist_compress is on), and DeltaStages counts stages answered
-// with a keep-mask delta instead of the full shard.
+// counters account completed stage exchanges on the wire, and
+// DeltaStages counts stages answered with a keep-mask delta instead of
+// the full shard.
 type WorkerRunStat struct {
-	Worker       int    `json:"worker"`
-	Addr         string `json:"addr"`
-	Proto        int    `json:"proto,omitempty"` // negotiated wire version
-	Stages       int    `json:"stages"`          // completed shard stages
-	Steals       int    `json:"steals"`          // stages this worker ran for another's shard
-	Retries      int    `json:"retries"`
-	DeltaStages  int    `json:"delta_stages,omitempty"`
-	BytesSent    int64  `json:"bytes_sent,omitempty"`
-	BytesRecv    int64  `json:"bytes_recv,omitempty"`
-	RawBytesSent int64  `json:"raw_bytes_sent,omitempty"`
-	RawBytesRecv int64  `json:"raw_bytes_recv,omitempty"`
-	Dead         bool   `json:"dead,omitempty"`
+	Worker      int    `json:"worker"`
+	Addr        string `json:"addr"`
+	Stages      int    `json:"stages"` // completed shard stages
+	Steals      int    `json:"steals"` // stages this worker ran for another's shard
+	Retries     int    `json:"retries"`
+	DeltaStages int    `json:"delta_stages,omitempty"`
+	BytesSent   int64  `json:"bytes_sent,omitempty"`
+	BytesRecv   int64  `json:"bytes_recv,omitempty"`
+	Dead        bool   `json:"dead,omitempty"`
 }
 
 // RunStats summarizes the distributed leg of a run: per-worker tallies
 // plus fleet-wide retry/steal/fallback counts. It is carried on
 // stream.Report via the Statser interface.
 type RunStats struct {
-	Workers      []WorkerRunStat `json:"workers"`
-	Retries      int             `json:"retries"`
-	Steals       int             `json:"steals"`
-	Fallbacks    int             `json:"fallbacks"` // shards degraded to in-process
-	DeltaStages  int             `json:"delta_stages,omitempty"`
-	BytesSent    int64           `json:"bytes_sent,omitempty"`
-	BytesRecv    int64           `json:"bytes_recv,omitempty"`
-	RawBytesSent int64           `json:"raw_bytes_sent,omitempty"`
-	RawBytesRecv int64           `json:"raw_bytes_recv,omitempty"`
+	Workers     []WorkerRunStat `json:"workers"`
+	Retries     int             `json:"retries"`
+	Steals      int             `json:"steals"`
+	Fallbacks   int             `json:"fallbacks"` // shards degraded to in-process
+	DeltaStages int             `json:"delta_stages,omitempty"`
+	BytesSent   int64           `json:"bytes_sent,omitempty"`
+	BytesRecv   int64           `json:"bytes_recv,omitempty"`
 }
 
 func (r RunStats) clone() RunStats {
@@ -228,9 +222,6 @@ func (r *RunStats) Merge(o RunStats) {
 			r.Workers[i].DeltaStages += w.DeltaStages
 			r.Workers[i].BytesSent += w.BytesSent
 			r.Workers[i].BytesRecv += w.BytesRecv
-			r.Workers[i].RawBytesSent += w.RawBytesSent
-			r.Workers[i].RawBytesRecv += w.RawBytesRecv
-			r.Workers[i].Proto = max(r.Workers[i].Proto, w.Proto)
 			r.Workers[i].Dead = r.Workers[i].Dead || w.Dead
 			if r.Workers[i].Addr == "" {
 				r.Workers[i].Addr = w.Addr
@@ -246,8 +237,6 @@ func (r *RunStats) Merge(o RunStats) {
 	r.DeltaStages += o.DeltaStages
 	r.BytesSent += o.BytesSent
 	r.BytesRecv += o.BytesRecv
-	r.RawBytesSent += o.RawBytesSent
-	r.RawBytesRecv += o.RawBytesRecv
 }
 
 // Statser is implemented by stage dispatchers that track distributed

@@ -83,17 +83,12 @@ type Worker struct {
 // StartWorker launches one djworker outside any pool — the hook for
 // tests that SIGKILL a fleet member from the outside (a failure no
 // in-process fault can model) and for dialed -worker-addrs fleets.
-// fault, when non-empty, is the worker's DJ_FAULT spec; extraArgs are
-// appended to the djworker command line (e.g. "-max-proto", "1" to
-// emulate an old v1-only worker). The worker is torn down at test
-// cleanup; Kill ends it sooner.
-func StartWorker(t testing.TB, id int, fault string, extraArgs ...string) *Worker {
+// fault, when non-empty, is the worker's DJ_FAULT spec. The worker is
+// torn down at test cleanup; Kill ends it sooner.
+func StartWorker(t testing.TB, id int, fault string) *Worker {
 	t.Helper()
-	bin := WorkerBin(t)
-	args := []string{"-id", fmt.Sprint(id), "-listen", "127.0.0.1:0",
-		"-work-dir", filepath.Join(t.TempDir(), fmt.Sprintf("w%d", id))}
-	args = append(args, extraArgs...)
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(WorkerBin(t), "-id", fmt.Sprint(id), "-listen", "127.0.0.1:0",
+		"-work-dir", filepath.Join(t.TempDir(), fmt.Sprintf("w%d", id)))
 	env := os.Environ()
 	if fault != "" {
 		env = append(env, "DJ_FAULT="+fault)

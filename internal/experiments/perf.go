@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/baseline"
@@ -250,74 +252,92 @@ func Fig9(s Scale, np int) (*Fig9Result, error) {
 		{"medium", s.PerfDocs[1]},
 		{"large", s.PerfDocs[2]},
 	}
-	// run times the recipe with min-of-three repeats: robust against
-	// scheduler noise from other processes (the shape, not a single
-	// sample, is the result). With profiled=false planning is pinned to
-	// static hints; with profiled=true a priming run persists measured
-	// profiles into a fresh work dir and every timed executor replans
-	// from them.
-	run := func(yaml string, fusion, profiled bool, d *dataset.Dataset) (time.Duration, error) {
-		r, err := config.ParseRecipe(yaml)
-		if err != nil {
-			return 0, err
-		}
-		r.UseCache = false
-		r.OpFusion = fusion
-		r.UseProfiles = profiled
-		r.NP = np
-		r.WorkDir = os.TempDir()
-		if profiled {
-			workDir, err := os.MkdirTemp("", "dj-fig9-planned-*")
+	// timeSeries times each series on d and reports its median over 15
+	// repeats. The repeats interleave the series (rep 0 of every series,
+	// then rep 1, ...) and each starts from a fresh GC cycle, so a burst
+	// of scheduler noise or GC debt left by the previous run lands on
+	// every series alike instead of on one whole block. On a loaded
+	// machine the quiet moments a minimum relies on are rare and fall on
+	// either series at random; the median of interleaved repeats keeps
+	// the fused/unfused ordering stable. A profiled series plans from the
+	// measured profiles a priming run persisted into its own fresh work
+	// dir; the others pin planning to static hints.
+	type series struct {
+		yaml             string
+		fusion, profiled bool
+	}
+	timeSeries := func(d *dataset.Dataset, ss ...series) ([]time.Duration, error) {
+		recipes := make([]*config.Recipe, len(ss))
+		for i, sr := range ss {
+			r, err := config.ParseRecipe(sr.yaml)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			defer os.RemoveAll(workDir)
-			r.WorkDir = workDir
-			prime, err := core.NewExecutor(r)
-			if err != nil {
-				return 0, err
+			r.UseCache = false
+			r.OpFusion = sr.fusion
+			r.UseProfiles = sr.profiled
+			r.NP = np
+			r.WorkDir = os.TempDir()
+			if sr.profiled {
+				workDir, err := os.MkdirTemp("", "dj-fig9-planned-*")
+				if err != nil {
+					return nil, err
+				}
+				defer os.RemoveAll(workDir)
+				r.WorkDir = workDir
+				prime, err := core.NewExecutor(r)
+				if err != nil {
+					return nil, err
+				}
+				if _, _, err := prime.Run(d.Clone()); err != nil {
+					return nil, err
+				}
 			}
-			if _, _, err := prime.Run(d.Clone()); err != nil {
-				return 0, err
+			recipes[i] = r
+		}
+		const reps = 15
+		times := make([][]time.Duration, len(ss))
+		for rep := 0; rep < reps; rep++ {
+			for i, r := range recipes {
+				exec, err := core.NewExecutor(r)
+				if err != nil {
+					return nil, err
+				}
+				in := d.Clone()
+				runtime.GC()
+				start := time.Now()
+				if _, _, err := exec.Run(in); err != nil {
+					return nil, err
+				}
+				times[i] = append(times[i], time.Since(start))
 			}
 		}
-		best := time.Duration(0)
-		for rep := 0; rep < 3; rep++ {
-			exec, err := core.NewExecutor(r)
-			if err != nil {
-				return 0, err
-			}
-			start := time.Now()
-			if _, _, err := exec.Run(d.Clone()); err != nil {
-				return 0, err
-			}
-			el := time.Since(start)
-			if best == 0 || el < best {
-				best = el
-			}
+		med := make([]time.Duration, len(ss))
+		for i, ts := range times {
+			sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
+			med[i] = ts[reps/2]
 		}
-		return best, nil
+		return med, nil
 	}
 	res := &Fig9Result{}
 	for _, size := range sizes {
 		base := rawSource("c4", size.docs, s.Seed+95)
 		row := Fig9Row{Label: size.label, NP: np}
-		var err error
-		if row.AllUnfused, err = run(fig9RecipeYAML, false, false, base.Clone()); err != nil {
+		all, err := timeSeries(base,
+			series{fig9RecipeYAML, false, false},
+			series{fig9RecipeYAML, true, false},
+			series{fig9RecipeYAML, true, true})
+		if err != nil {
 			return nil, err
 		}
-		if row.AllFused, err = run(fig9RecipeYAML, true, false, base.Clone()); err != nil {
+		row.AllUnfused, row.AllFused, row.AllPlanned = all[0], all[1], all[2]
+		fusible, err := timeSeries(base,
+			series{fig9FusibleYAML, false, false},
+			series{fig9FusibleYAML, true, false})
+		if err != nil {
 			return nil, err
 		}
-		if row.AllPlanned, err = run(fig9RecipeYAML, true, true, base.Clone()); err != nil {
-			return nil, err
-		}
-		if row.FusibleUnfused, err = run(fig9FusibleYAML, false, false, base.Clone()); err != nil {
-			return nil, err
-		}
-		if row.FusibleFused, err = run(fig9FusibleYAML, true, false, base.Clone()); err != nil {
-			return nil, err
-		}
+		row.FusibleUnfused, row.FusibleFused = fusible[0], fusible[1]
 		res.Rows = append(res.Rows, row)
 	}
 	var rows [][]string

@@ -7,7 +7,7 @@ import (
 )
 
 // Fault injection for the chaos test harness. A djworker started with
-// DJ_FAULT set misbehaves on exactly one /v1/run request — the After-th
+// DJ_FAULT set misbehaves on exactly one run request — the After-th
 // one it serves (0-indexed) — in one of three ways:
 //
 //	crash    exit(137) before responding, like a kill -9 mid-stage
@@ -21,7 +21,7 @@ import (
 // DJ_FAULT_W<id> instead (see pool.go).
 type Fault struct {
 	Mode  string // "" (none) | "crash" | "hang" | "corrupt"
-	After int    // which /v1/run request (0-indexed) triggers it
+	After int    // which run request (0-indexed) triggers it
 }
 
 // Active reports whether a fault is armed.

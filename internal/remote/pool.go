@@ -49,28 +49,21 @@ type PoolOptions struct {
 	// Env appends extra environment entries to spawned workers, after
 	// the DJ_FAULT scrubbing described in fault.go (test hook).
 	Env []string
-	// MaxProto caps the wire version the coordinator offers at
-	// configure time (0 means everything it speaks). Benchmarks and
-	// tests pin 1 here to measure/emulate a v1 exchange.
-	MaxProto int
 }
 
 // Pool is the coordinator's handle on the worker fleet: it owns the
 // subprocesses, the routing scheduler, and the journal events that
 // record fleet activity.
 type Pool struct {
-	sched    *dist.Scheduler
-	procs    []*exec.Cmd
-	timeout  time.Duration
-	runID    string
-	tele     *telemetry.Run
-	maxProto int
+	sched   *dist.Scheduler
+	procs   []*exec.Cmd
+	timeout time.Duration
+	runID   string
+	tele    *telemetry.Run
 
-	// Stage routing hints derived at configure time: per plan node,
-	// whether it is a pure filter (keep-mask delta eligible), and
-	// whether frames should be lzj-compressed.
+	// Stage routing hint derived at configure time: per plan node,
+	// whether it is a pure filter (keep-mask delta eligible).
 	filterOnly []bool
-	compress   bool
 
 	// Wire accounting, accumulated per completed stage exchange.
 	wmu         sync.Mutex
@@ -80,12 +73,9 @@ type Pool struct {
 
 // wireAgg sums one worker's completed stage exchanges.
 type wireAgg struct {
-	proto       int
 	deltaStages int
 	sent        int64
 	recv        int64
-	rawSent     int64
-	rawRecv     int64
 }
 
 // NewPool spawns (or dials) the fleet and waits for every worker to
@@ -95,11 +85,7 @@ func NewPool(opts PoolOptions) (*Pool, error) {
 	if timeout <= 0 {
 		timeout = DefaultStageTimeout
 	}
-	maxProto := opts.MaxProto
-	if maxProto <= 0 || maxProto > dist.MaxProtoVersion {
-		maxProto = dist.MaxProtoVersion
-	}
-	p := &Pool{timeout: timeout, maxProto: maxProto, wire: map[int]*wireAgg{}}
+	p := &Pool{timeout: timeout, wire: map[int]*wireAgg{}}
 
 	var clients []*dist.WorkerClient
 	if len(opts.Addrs) > 0 {
@@ -238,7 +224,6 @@ func waitHealthy(ctx context.Context, c *dist.WorkerClient) error {
 // its load; only a fully unreachable fleet fails.
 func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *telemetry.Run) error {
 	p.runID, p.tele = runID, tele
-	p.compress = r.DistCompress
 	p.filterOnly = make([]bool, len(pl.Nodes))
 	for i := range pl.Nodes {
 		p.filterOnly[i] = core.OpKind(pl.Nodes[i].Op) == "filter"
@@ -254,13 +239,12 @@ func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *te
 		}
 	}
 	req := dist.ConfigureRequest{
-		Proto: dist.ProtoVersion, MaxProto: p.maxProto, RunID: runID, Recipe: rawRecipe,
+		Proto: dist.ProtoVersion, RunID: runID, Recipe: rawRecipe,
 		Profiles: profiles, Fingerprint: PlanFingerprint(pl),
 	}
 	configured := 0
 	for _, c := range p.sched.Clients() {
-		resp, err := c.Configure(req)
-		if err != nil {
+		if err := c.Configure(req); err != nil {
 			var rej *dist.RejectError
 			if errors.As(err, &rej) {
 				return err
@@ -273,14 +257,11 @@ func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *te
 			}
 			continue
 		}
-		// Old workers answer without a proto (0); SetProto clamps that
-		// to v1 and caps anything newer at what this coordinator speaks.
-		c.SetProto(resp.Proto)
 		configured++
 		if tele != nil {
 			tele.Emit(telemetry.Event{
 				Type: telemetry.EvWorkerStart, Parent: tele.RunSpan(),
-				Worker: c.ID, Addr: c.Addr, Proto: c.Proto(),
+				Worker: c.ID, Addr: c.Addr,
 			})
 		}
 	}
@@ -299,7 +280,7 @@ func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *te
 func (p *Pool) RunStage(shard, fromOp, toOp int, d *dataset.Dataset) (*dataset.Dataset, []dist.OpFlow, int, error) {
 	h := dist.RunHeader{
 		RunID: p.runID, Shard: shard, FromOp: fromOp, ToOp: toOp,
-		Delta: p.deltaEligible(fromOp, toOp), Compress: p.compress,
+		Delta: p.deltaEligible(fromOp, toOp),
 	}
 	for {
 		route := p.sched.Pick(shard)
@@ -352,17 +333,14 @@ func (p *Pool) observeWire(worker int, ws dist.WireStat) {
 		agg = &wireAgg{}
 		p.wire[worker] = agg
 	}
-	agg.proto = max(agg.proto, ws.Proto)
 	agg.sent += ws.Sent
 	agg.recv += ws.Recv
-	agg.rawSent += ws.RawSent
-	agg.rawRecv += ws.RawRecv
 	if ws.Delta {
 		agg.deltaStages++
 	}
 	p.wmu.Unlock()
 	if p.tele != nil {
-		p.tele.ObserveWire(worker, ws.Sent, ws.Recv, ws.RawSent, ws.RawRecv)
+		p.tele.ObserveWire(worker, ws.Sent, ws.Recv)
 	}
 }
 
@@ -379,23 +357,17 @@ func (p *Pool) DistStats() *dist.RunStats {
 		if agg == nil {
 			continue
 		}
-		st.Workers[i].Proto = agg.proto
 		st.Workers[i].DeltaStages = agg.deltaStages
 		st.Workers[i].BytesSent = agg.sent
 		st.Workers[i].BytesRecv = agg.recv
-		st.Workers[i].RawBytesSent = agg.rawSent
-		st.Workers[i].RawBytesRecv = agg.rawRecv
 		st.DeltaStages += agg.deltaStages
 		st.BytesSent += agg.sent
 		st.BytesRecv += agg.recv
-		st.RawBytesSent += agg.rawSent
-		st.RawBytesRecv += agg.rawRecv
 		if p.tele != nil && !p.wireFlushed {
 			p.tele.Emit(telemetry.Event{
 				Type: telemetry.EvWorkerWire, Worker: st.Workers[i].Worker,
-				Proto: agg.proto, DeltaStages: agg.deltaStages,
-				BytesSent: agg.sent, BytesRecv: agg.recv,
-				RawBytesSent: agg.rawSent, RawBytesRecv: agg.rawRecv,
+				DeltaStages: agg.deltaStages,
+				BytesSent:   agg.sent, BytesRecv: agg.recv,
 			})
 		}
 	}

@@ -5,11 +5,12 @@
 // folds worker measurements back into the run's journal and report.
 //
 // The wire protocol itself (frames, endpoints, validation) lives in
-// internal/dist; this package supplies the execution behind it. Both
-// processes build the physical plan independently from the same recipe
-// and measured profiles and verify they agree on a plan fingerprint, so
-// a version- or sidecar-skewed worker is rejected at configure time
-// instead of silently producing different outputs.
+// internal/dist; this package supplies the execution behind it. A
+// worker refuses a configure whose protocol version differs from its
+// own; otherwise both processes build the physical plan independently
+// from the same recipe and measured profiles and verify they agree on a
+// plan fingerprint, so a protocol- or sidecar-skewed worker is rejected
+// at configure time instead of silently producing different outputs.
 package remote
 
 import (
@@ -53,7 +54,7 @@ type session struct {
 }
 
 // WorkerServer serves one djworker process: configure once per run,
-// then any number of concurrent /v1/run stage requests.
+// then any number of concurrent run stage requests.
 type WorkerServer struct {
 	// ID is the worker's 1-based fleet position (journal lane).
 	ID int
@@ -62,21 +63,10 @@ type WorkerServer struct {
 	WorkDir string
 	// Fault is the armed fault injection (zero = healthy).
 	Fault Fault
-	// MaxProto caps the wire version this worker negotiates (0 means
-	// everything it speaks). Capping at 1 emulates an old fleet member:
-	// /v2/run is not even registered.
-	MaxProto int
 
 	mu   sync.Mutex
-	runs int // run requests served (both versions), for the fault trigger
+	runs int // run requests served, for the fault trigger
 	sess *session
-}
-
-func (w *WorkerServer) maxProto() int {
-	if w.MaxProto <= 0 || w.MaxProto > dist.MaxProtoVersion {
-		return dist.MaxProtoVersion
-	}
-	return w.MaxProto
 }
 
 // Handler returns the worker's HTTP mux.
@@ -84,11 +74,8 @@ func (w *WorkerServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", w.handleHealthz)
 	mux.HandleFunc("/v1/configure", w.handleConfigure)
-	mux.HandleFunc("/v1/run", w.handleRun)
+	mux.HandleFunc("/v2/run", w.handleRun)
 	mux.HandleFunc("/v1/flush", w.handleFlush)
-	if w.maxProto() >= dist.ProtoV2 {
-		mux.HandleFunc("/v2/run", w.handleRunV2)
-	}
 	return mux
 }
 
@@ -161,20 +148,12 @@ func (w *WorkerServer) configure(creq dist.ConfigureRequest) dist.ConfigureRespo
 		old.tele.End("ok", 0, 0, nil, nil)
 		old.tele.Close()
 	}
-	// Negotiate the wire version: the highest both sides speak. Old
-	// coordinators omit MaxProto (0), which pins the run to v1.
-	neg := min(creq.MaxProto, w.maxProto())
-	if neg < dist.ProtoVersion {
-		neg = dist.ProtoVersion
-	}
-	return dist.ConfigureResponse{OK: true, Proto: neg, Fingerprint: fp, PlanOps: len(p.Nodes)}
+	return dist.ConfigureResponse{OK: true, Fingerprint: fp, PlanOps: len(p.Nodes)}
 }
 
-// faultGate arms the shared run counter and fires the injected fault
-// when this request is the trigger. It reports true when the fault
-// consumed the request (corrupt mode already wrote garbage). Both run
-// endpoints share one counter, so DJ_FAULT specs count stages
-// regardless of the wire version in play.
+// faultGate arms the run counter and fires the injected fault when this
+// request is the trigger. It reports true when the fault consumed the
+// request (corrupt mode already wrote garbage).
 func (w *WorkerServer) faultGate(rw http.ResponseWriter) (sess *session, handled bool) {
 	w.mu.Lock()
 	idx := w.runs
@@ -244,33 +223,12 @@ func (w *WorkerServer) runOps(sess *session, h dist.RunHeader, d *dataset.Datase
 	return d, flows, ""
 }
 
+// handleRun is the stage endpoint: the request arrives as a streaming
+// columnar frame, and when the coordinator asked for a delta and every
+// op in range is a pure filter, the response is just the keep bitmap
+// plus the kept samples' stats columns. Error responses are a header
+// line only.
 func (w *WorkerServer) handleRun(rw http.ResponseWriter, req *http.Request) {
-	sess, handled := w.faultGate(rw)
-	if handled {
-		return
-	}
-	var h dist.RunHeader
-	d, err := dist.ReadFrame(req.Body, &h)
-	if err != nil {
-		dist.WriteFrame(rw, dist.ResultHeader{Shard: h.Shard, Error: fmt.Sprintf("decode: %v", err)}, nil)
-		return
-	}
-	out, flows, errmsg := w.runOps(sess, h, d)
-	if errmsg != "" {
-		dist.WriteFrame(rw, dist.ResultHeader{Shard: h.Shard, Error: errmsg}, nil)
-		return
-	}
-	// A write error means the response is already partially on the
-	// wire; nothing to salvage.
-	dist.WriteFrame(rw, dist.ResultHeader{Shard: h.Shard, Samples: out.Len(), Flows: flows}, out)
-}
-
-// handleRunV2 is the protocol-v2 stage endpoint: the request arrives as
-// a streaming columnar frame, and when the coordinator asked for a
-// delta and every op in range is a pure filter, the response is just
-// the keep bitmap plus the kept samples' stats columns. Error responses
-// stay header-line-only, exactly like v1.
-func (w *WorkerServer) handleRunV2(rw http.ResponseWriter, req *http.Request) {
 	sess, handled := w.faultGate(rw)
 	if handled {
 		return
@@ -278,7 +236,8 @@ func (w *WorkerServer) handleRunV2(rw http.ResponseWriter, req *http.Request) {
 	var h dist.RunHeader
 	fr := dist.NewFrame2Reader(req.Body)
 	fail := func(format string, args ...any) {
-		dist.WriteFrame(rw, dist.ResultHeader{Shard: h.Shard, Error: fmt.Sprintf(format, args...)}, nil)
+		line, _ := json.Marshal(dist.ResultHeader{Shard: h.Shard, Error: fmt.Sprintf(format, args...)})
+		rw.Write(append(line, '\n'))
 	}
 	if err := fr.Header(&h); err != nil {
 		fail("decode: %v", err)
@@ -319,13 +278,13 @@ func (w *WorkerServer) handleRunV2(rw http.ResponseWriter, req *http.Request) {
 	if delta {
 		if mask, ok := dist.BuildKeepMask(in, out.Samples); ok {
 			rh.Delta = true
-			dist.WriteDeltaFrame2(rw, rh, mask, len(in), out.Samples, h.Compress)
+			dist.WriteDeltaFrame2(rw, rh, mask, len(in), out.Samples)
 			return
 		}
 		// The surviving samples are not an ordered subset of the input
 		// (an op rewrote them); ship the full shard instead.
 	}
-	dist.WriteFrame2(rw, rh, out, h.Compress)
+	dist.WriteFrame2(rw, rh, out)
 }
 
 // deltaNodes returns the session's plan nodes (nil-safe for the

@@ -15,12 +15,14 @@ import (
 // the run_start event; readers reject journals from a newer schema.
 // Version 2 added the distributed-runtime events (worker_start,
 // worker_retry, shard_steal) and the worker/addr fields; version 3
-// added the wire-transport accounting (worker_wire events, the proto
-// field on worker_start, and the bytes_sent/bytes_recv family);
-// version 4 added the partitioned signature index contention events
-// (index, with the partitions/waits fields). Older journals remain
-// valid, except those holding the replan events of the removed runtime
-// controller: the strict reader rejects their event type.
+// added the wire-transport accounting (worker_wire events and the
+// bytes_sent/bytes_recv family); version 4 added the partitioned
+// signature index contention events (index, with the partitions/waits
+// fields). Older journals remain valid, except those holding what later
+// changes removed: the replan events of the removed runtime controller
+// (an unknown event type) and the proto/raw_bytes_sent/raw_bytes_recv
+// fields of the removed wire-version negotiation and frame compression
+// (unknown fields). The strict reader rejects both.
 const SchemaVersion = 4
 
 // Journal event types. Every line in a journal file is one Event whose
@@ -48,9 +50,8 @@ const (
 	EvShardSteal  = "shard_steal"
 
 	// worker_wire (schema v3) is one worker's end-of-run transport
-	// tally: negotiated proto, bytes on the wire in each direction,
-	// their uncompressed equivalents, and how many stages were answered
-	// with a keep-mask delta.
+	// tally: bytes on the wire in each direction and how many stages
+	// were answered with a keep-mask delta.
 	EvWorkerWire = "worker_wire"
 
 	// index (schema v4) is one shared-index stage's end-of-phase
@@ -79,9 +80,9 @@ type PlanPass struct {
 	DurNS  int64  `json:"dur_ns,omitempty"`
 }
 
-// Event is one journal line. The schema is append-only stable: fields
-// may be added in later schema versions but never renamed or removed.
-// Numeric fields that do not apply to a given Type are omitted.
+// Event is one journal line. Fields may be added in later schema
+// versions; the few removals are listed at SchemaVersion. Numeric
+// fields that do not apply to a given Type are omitted.
 type Event struct {
 	TS     int64  `json:"ts"` // unix nanoseconds
 	Type   string `json:"type"`
@@ -111,17 +112,13 @@ type Event struct {
 	Worker int `json:"worker,omitempty"`
 	// Addr is the worker's listen address (worker_start).
 	Addr string `json:"addr,omitempty"`
-	// Proto is the negotiated wire version (worker_start, worker_wire).
-	Proto int `json:"proto,omitempty"`
 
 	// Wire-transport accounting (worker_wire, schema v3): bytes put on
-	// the wire to/from the worker, their uncompressed equivalents, and
-	// the stages answered with a keep-mask delta.
-	BytesSent    int64 `json:"bytes_sent,omitempty"`
-	BytesRecv    int64 `json:"bytes_recv,omitempty"`
-	RawBytesSent int64 `json:"raw_bytes_sent,omitempty"`
-	RawBytesRecv int64 `json:"raw_bytes_recv,omitempty"`
-	DeltaStages  int   `json:"delta_stages,omitempty"`
+	// the wire to/from the worker and the stages answered with a
+	// keep-mask delta.
+	BytesSent   int64 `json:"bytes_sent,omitempty"`
+	BytesRecv   int64 `json:"bytes_recv,omitempty"`
+	DeltaStages int   `json:"delta_stages,omitempty"`
 
 	// SpillRuns counts the spill files (sorted runs / LSH partitions) a
 	// dedup index wrote; Bytes carries the spilled bytes (spill events).
@@ -373,7 +370,7 @@ func validateEvent(lineNo, idx int, e Event) error {
 		if e.Worker <= 0 {
 			return fail("missing worker")
 		}
-		if e.BytesSent < 0 || e.BytesRecv < 0 || e.RawBytesSent < 0 || e.RawBytesRecv < 0 {
+		if e.BytesSent < 0 || e.BytesRecv < 0 {
 			return fail("negative byte counts")
 		}
 	case EvExport:

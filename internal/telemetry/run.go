@@ -454,17 +454,14 @@ func (r *Run) ObserveIndexWait(op string, d time.Duration) {
 }
 
 // ObserveWire records one completed dispatch exchange's transport
-// bytes: on-wire in each direction plus their uncompressed equivalents
-// (the compression ratio falls out of the two pairs).
-func (r *Run) ObserveWire(worker int, sent, recv, rawSent, rawRecv int64) {
+// bytes on the wire in each direction.
+func (r *Run) ObserveWire(worker int, sent, recv int64) {
 	if r == nil {
 		return
 	}
 	lbl := Label{Key: "worker", Value: fmt.Sprint(worker)}
 	r.Reg.Counter("dj_dist_bytes_sent_total", "bytes sent to workers on the dispatch wire", lbl).Add(sent)
 	r.Reg.Counter("dj_dist_bytes_recv_total", "bytes received from workers on the dispatch wire", lbl).Add(recv)
-	r.Reg.Counter("dj_dist_raw_bytes_sent_total", "uncompressed equivalent of bytes sent to workers", lbl).Add(rawSent)
-	r.Reg.Counter("dj_dist_raw_bytes_recv_total", "uncompressed equivalent of bytes received from workers", lbl).Add(rawRecv)
 }
 
 // ObserveShard records one shard's sample count.

@@ -53,12 +53,9 @@ type WorkerTimeline struct {
 	Disconnected bool // at least one retry marked it suspect
 
 	// Wire-transport accounting (worker_wire events, schema v3).
-	Proto        int   // negotiated wire version (0 = unrecorded)
-	DeltaStages  int   // stages answered with a keep-mask delta
-	BytesSent    int64 // on-wire bytes coordinator -> worker
-	BytesRecv    int64 // on-wire bytes worker -> coordinator
-	RawBytesSent int64 // uncompressed equivalent of BytesSent
-	RawBytesRecv int64 // uncompressed equivalent of BytesRecv
+	DeltaStages int   // stages answered with a keep-mask delta
+	BytesSent   int64 // on-wire bytes coordinator -> worker
+	BytesRecv   int64 // on-wire bytes worker -> coordinator
 }
 
 // Timeline is the reconstruction of one run from its journal.
@@ -197,20 +194,12 @@ func BuildTimeline(events []Event) (*Timeline, error) {
 		case EvWorkerStart:
 			w := laneOf(e.Worker)
 			w.Addr = e.Addr
-			if e.Proto > w.Proto {
-				w.Proto = e.Proto
-			}
 			touch(w, e.TS)
 		case EvWorkerWire:
 			w := laneOf(e.Worker)
-			if e.Proto > w.Proto {
-				w.Proto = e.Proto
-			}
 			w.DeltaStages += e.DeltaStages
 			w.BytesSent += e.BytesSent
 			w.BytesRecv += e.BytesRecv
-			w.RawBytesSent += e.RawBytesSent
-			w.RawBytesRecv += e.RawBytesRecv
 			touch(w, e.TS)
 		case EvWorkerRetry:
 			w := laneOf(e.Worker)
@@ -374,17 +363,12 @@ func (tl *Timeline) Render() string {
 			if w.BytesSent == 0 && w.BytesRecv == 0 {
 				continue
 			}
-			ratio := 1.0
-			if w.BytesSent+w.BytesRecv > 0 {
-				ratio = float64(w.RawBytesSent+w.RawBytesRecv) / float64(w.BytesSent+w.BytesRecv)
-			}
 			delta := ""
 			if w.DeltaStages > 0 {
 				delta = fmt.Sprintf(", %d delta stages", w.DeltaStages)
 			}
-			fmt.Fprintf(&b, "  w%-2d proto=%d sent %.1f MiB recv %.1f MiB (%.2fx vs raw)%s\n",
-				w.Worker, w.Proto,
-				float64(w.BytesSent)/(1<<20), float64(w.BytesRecv)/(1<<20), ratio, delta)
+			fmt.Fprintf(&b, "  w%-2d sent %.1f MiB recv %.1f MiB%s\n",
+				w.Worker, float64(w.BytesSent)/(1<<20), float64(w.BytesRecv)/(1<<20), delta)
 		}
 	}
 
