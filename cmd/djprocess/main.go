@@ -1,14 +1,15 @@
 // Command djprocess runs a data recipe end-to-end: load → process →
-// export, with optional plan display, tracing and probe analysis. Two
-// execution backends are available: the default batch executor
-// (whole-dataset, op by op) and the shard-pipelined streaming engine
-// (-stream), which bounds peak memory for corpora larger than RAM.
+// export, with optional plan display, tracing and probe analysis. One
+// engine executes every run: by default the whole input is loaded as
+// one in-memory shard (batch: op by op over the whole dataset), and
+// -stream pipelines it in shards, which bounds peak memory for corpora
+// larger than RAM.
 //
 // Inputs resolve through the unified ingestion layer (internal/format):
 // jsonl/json/csv/tsv/txt/md/html/code files, transparently gzip-
 // decompressed ".gz" variants, directories, globs, "hub:" synthetic
-// corpora, and "mix:" weighted multi-source mixtures — on either
-// backend. See docs/recipes.md for the full spec and recipe reference.
+// corpora, and "mix:" weighted multi-source mixtures — in either
+// mode. See docs/recipes.md for the full spec and recipe reference.
 //
 // Usage:
 //
@@ -27,7 +28,7 @@
 // process, keeping the output byte-identical to a single-process run —
 // including when workers crash mid-run. See docs/distributed.md.
 //
-// Both backends execute the physical plan of the unified planner
+// Both modes execute the physical plan of the unified planner
 // (internal/plan): measured-cost reordering, context-sharing fusion, and
 // streaming capability placement. -explain prints that plan — per-op
 // predicted cost and selectivity (from the recipe's profile sidecar when
@@ -70,7 +71,7 @@ func main() {
 		np          = flag.Int("np", 0, "worker count (0 = all cores)")
 		streamMode  = flag.Bool("stream", false, "use the shard-pipelined streaming engine (bounded memory)")
 		shardSize   = flag.Int("shard-size", stream.DefaultShardSize, "samples per shard in -stream mode")
-		targetMemMB = flag.Int("target-mem-mb", 0, "memory target in MB: bounds dedup index memory via disk spilling, on both backends (0 = unbounded)")
+		targetMemMB = flag.Int("target-mem-mb", 0, "memory target in MB: bounds dedup index memory via disk spilling, batch or -stream (0 = unbounded)")
 		noSpill     = flag.Bool("no-dedup-spill", false, "keep dedup indexes fully in memory even when -target-mem-mb is set")
 		indexParts  = flag.Int("index-partitions", 0, "partitions of the streaming shared signature index (0 = auto from worker count; rounded up to a power of two; output is identical at any setting)")
 		showPlan    = flag.Bool("plan", false, "print the fused execution plan before running")
@@ -193,12 +194,22 @@ func main() {
 	distributed := dopts.workers > 0 || len(dopts.addrs) > 0
 
 	tele, srv := openTelemetry(recipe)
+	// The linger's interrupt handler goes in before the run: a background
+	// job of a non-interactive shell starts with SIGINT ignored, and only
+	// Notify re-enables it, so an interrupt landing mid-run would
+	// otherwise be lost. One that arrives during the run ends the linger
+	// as soon as the run finishes.
+	var interrupt chan os.Signal
+	if srv != nil && *linger {
+		interrupt = make(chan os.Signal, 1)
+		signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
+	}
 	if *streamMode || distributed {
 		runStreaming(recipe, recipeSrc, inputSpec, *shardSize, *showPlan, *probe || *space, tele, dopts)
 	} else {
 		runBatch(recipe, recipeSrc, inputSpec, *showPlan, *probe, *space, tele)
 	}
-	finishTelemetry(tele, srv, *linger)
+	finishTelemetry(tele, srv, interrupt)
 }
 
 // openTelemetry builds the run's telemetry context from the recipe: the
@@ -226,15 +237,13 @@ func openTelemetry(recipe *config.Recipe) (*telemetry.Run, *telemetry.Server) {
 	return t, srv
 }
 
-// finishTelemetry closes the run's observability surfaces, optionally
-// lingering so the endpoint outlives the run (CI scrapes, post-mortem
-// pprof grabs).
-func finishTelemetry(t *telemetry.Run, srv *telemetry.Server, linger bool) {
-	if srv != nil && linger {
+// finishTelemetry closes the run's observability surfaces. With a
+// linger interrupt channel, the endpoint outlives the run (CI scrapes,
+// post-mortem pprof grabs) until an interrupt arrives on it.
+func finishTelemetry(t *telemetry.Run, srv *telemetry.Server, interrupt <-chan os.Signal) {
+	if interrupt != nil {
 		fmt.Printf("ops endpoint still serving on http://%s — interrupt to exit\n", srv.Addr())
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
+		<-interrupt
 	}
 	if srv != nil {
 		srv.Close()
@@ -309,7 +318,7 @@ func runBatch(recipe *config.Recipe, recipeSrc, inputSpec string, showPlan, prob
 			}
 		}
 	})
-	fmt.Print(telemetry.FormatOpTable(core.TelemetryRows(report.OpStats)))
+	fmt.Print(telemetry.FormatOpTable(stream.TelemetryRows(report.OpStats)))
 	if tr := exec.Tracer(); tr != nil {
 		fmt.Print(tr.Summary())
 	}
@@ -399,7 +408,7 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 	}
 	if showPlan {
 		fmt.Println("streaming execution plan:")
-		fmt.Print(eng.DescribePlan())
+		fmt.Print(eng.Plan().Describe())
 	}
 	src, err := stream.OpenSource(inputSpec, shardSize)
 	if err != nil {
@@ -434,7 +443,7 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 		e.Resumed = report.ResumedShards
 	})
 	// The same per-op snapshot the batch path renders.
-	fmt.Print(telemetry.FormatOpTable(core.TelemetryRows(report.OpStats)))
+	fmt.Print(telemetry.FormatOpTable(stream.TelemetryRows(report.OpStats)))
 	fmt.Print(report.DistSummary())
 	if tr := eng.Tracer(); tr != nil {
 		fmt.Print(tr.Summary())

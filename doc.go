@@ -8,8 +8,8 @@
 //
 // # Unified planner
 //
-// One logical→physical plan layer (internal/plan) serves both
-// execution backends: the recipe's op list runs through an ordered pass
+// One logical→physical plan layer (internal/plan) feeds the one
+// execution engine: the recipe's op list runs through an ordered pass
 // pipeline — validate, predict (measured cost/selectivity from the
 // per-recipe profile sidecar, static CostHint ranks on cold starts),
 // measured-cost reordering of commutative filter groups, context-
@@ -20,16 +20,12 @@
 // with per-op predictions and per-pass provenance; docs/recipes.md has
 // the walkthrough and sidecar format.
 //
-// # Execution backends
+// # One execution engine
 //
-// Two engines run the same recipe over the same physical plan:
+// One engine (internal/stream.Engine) runs every recipe over the
+// physical plan; batch is that engine over one in-memory shard:
 //
-//   - Batch (internal/core.Executor): the whole dataset is resident and
-//     moves through one operator at a time with parallel workers. Peak
-//     memory is O(corpus). Richest feature set — probes, disk-space
-//     analysis, whole-dataset cache chains, checkpoint resume.
-//
-//   - Streaming (internal/stream.Engine): the input is partitioned into
+//   - Streaming (djprocess -stream): the input is partitioned into
 //     shards that flow through the full operator chain in a pipelined
 //     worker pool — shard K can be in op 3 while shard K+1 is in op 1 —
 //     with peak memory O(shards in flight). JSONL inputs are read
@@ -37,13 +33,21 @@
 //     Shard-local ops stream freely, signature deduplicators run
 //     against a shared index without a barrier, and similarity
 //     deduplicators act as declared barriers (merge, apply, re-shard).
-//     Both backends share the per-op application logic (core.OpRunner),
-//     so kept-sample sets are identical — a contract enforced by the
-//     randomized cross-backend conformance suite (conformance_test.go).
+//
+//   - Batch (internal/core.Executor, the default): the whole dataset is
+//     resident and is the engine's single shard, so each op runs once
+//     over the whole dataset with parallel workers and no op needs a
+//     barrier. Peak memory is O(corpus). The op boundaries carry the
+//     whole-dataset cache chain and checkpoint resume; probes and
+//     disk-space analysis need the resident dataset.
+//
+// Every op applies through one OpRunner, so kept-sample sets are
+// identical at any shard size — a contract enforced by the randomized
+// cross-backend conformance suite (conformance_test.go).
 //
 // # Unified ingestion and mixing
 //
-// Both backends read inputs through one incremental interface
+// Batch and streaming runs read inputs through one incremental interface
 // (internal/format.Source): jsonl/json/csv/tsv/txt/md/html/code files,
 // transparent gzip decompression, directories, globs, and "hub:"
 // synthetic corpora, all unified into the sample representation.
@@ -52,14 +56,14 @@
 // since the whole file is one sample. Weighted multi-source mixing ("mix:" specs,
 // recipe "sources:" lists) interleaves corpora deterministically by
 // weight with per-sample provenance tags in meta.source, so mixed
-// multi-format inputs run on either backend with byte-identical
+// multi-format inputs run batch or streaming with byte-identical
 // exports. The complete recipe-key and input-spec reference is
 // docs/recipes.md; the generated operator table is
 // internal/ops/README.md.
 //
 // # Zero-allocation hot path
 //
-// The per-sample inner loop shared by both backends is built to avoid
+// The per-sample inner loop of the engine is built to avoid
 // allocating in steady state: execution is batch-granular
 // (dataset.MapBatches / FilterBatches, shards as batches, fused-filter
 // counters flushed once per batch), tokenization reuses per-worker

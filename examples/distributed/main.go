@@ -12,10 +12,10 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	_ "repro/internal/ops/all"
+	"repro/internal/stream"
 )
 
 const recipeYAML = `
@@ -45,7 +45,7 @@ func main() {
 
 	// Measure shard costs once (real loading + processing), then compose
 	// each engine/cluster from the same measurements.
-	process, err := core.MeasureRunner(recipe)
+	process, err := stream.MeasureRunner(recipe)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,15 +73,18 @@ func (s *Store) Put(key string, d *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(s.path(key), enc)
+	return writeFileAtomic(s.path(key), enc, false)
 }
 
 // writeFileAtomic writes data to a uniquely named temp file beside path
 // and renames it over path, so concurrent writers of one path (two
 // in-flight shards with identical content, two processes sharing a work
 // dir) never share a temp file and readers never see a partial file.
-// The temp file is removed on any error.
-func writeFileAtomic(path string, data []byte) error {
+// The temp file is removed on any error. With durable set, the temp
+// file is fsynced before the rename and the directory after it, so the
+// file is on disk under its name before the next write that depends on
+// it starts.
+func writeFileAtomic(path string, data []byte, durable bool) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
@@ -89,6 +92,9 @@ func writeFileAtomic(path string, data []byte) error {
 	_, err = tmp.Write(data)
 	if err == nil {
 		err = tmp.Chmod(0o644)
+	}
+	if err == nil && durable {
+		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -98,6 +104,18 @@ func writeFileAtomic(path string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
+		return err
+	}
+	if !durable {
+		return nil
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -215,7 +233,10 @@ func (m *CheckpointManager) manifestPath() string {
 }
 
 // Save writes a checkpoint after opIndex operators, replacing any previous
-// checkpoint only once the new payload is durable.
+// checkpoint only once the new payload is durable: payload and manifest
+// are each written to a temp file, fsynced and renamed into place, so a
+// crash leaves either the old checkpoint or the new one, never a live
+// manifest naming a partial payload.
 func (m *CheckpointManager) Save(recipeFP string, opIndex int, d *dataset.Dataset) error {
 	var buf bytes.Buffer
 	if err := d.WriteJSONL(&buf); err != nil {
@@ -226,7 +247,7 @@ func (m *CheckpointManager) Save(recipeFP string, opIndex int, d *dataset.Datase
 		return err
 	}
 	dataFile := fmt.Sprintf("state-%03d.%s", opIndex, m.codec.Name())
-	if err := os.WriteFile(filepath.Join(m.dir, dataFile), enc, 0o644); err != nil {
+	if err := writeFileAtomic(filepath.Join(m.dir, dataFile), enc, true); err != nil {
 		return err
 	}
 	prev, _ := m.load()
@@ -238,7 +259,7 @@ func (m *CheckpointManager) Save(recipeFP string, opIndex int, d *dataset.Datase
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(m.manifestPath(), manifest); err != nil {
+	if err := writeFileAtomic(m.manifestPath(), manifest, true); err != nil {
 		return err
 	}
 	// Only now is it safe to drop the previous state file.

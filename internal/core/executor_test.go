@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -377,6 +380,87 @@ process:
 	}
 	if out.Len() != 2 {
 		t.Fatalf("survivors = %d", out.Len())
+	}
+}
+
+// A corrupt checkpoint must not wedge its recipe: the rerun deletes it,
+// runs cold and exports exactly what a clean run exports.
+func TestExecutorCorruptCheckpointRunsCold(t *testing.T) {
+	yaml := `
+project_name: ckpt-corrupt
+use_cache: false
+use_checkpoint: true
+op_fusion: false
+process:
+  - whitespace_normalization_mapper:
+  - fail_once_filter:
+  - word_num_filter:
+      min_num: 2
+`
+	ds := dataset.FromTexts([]string{
+		"alpha  beta gamma", "delta epsilon zeta",
+		"eta theta   iota", "kappa", "nu xi omicron",
+	})
+	jsonl := func(d *dataset.Dataset) string {
+		var buf bytes.Buffer
+		if err := d.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	cleanExec, _ := NewExecutor(testRecipe(t, yaml))
+	clean, _, err := cleanExec.Run(ds.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := testRecipe(t, yaml)
+	failOnceArmed.Store(true)
+	e, _ := NewExecutor(r)
+	if _, _, err := e.Run(ds.Clone()); err == nil {
+		t.Fatal("expected injected failure")
+	}
+	states, _ := filepath.Glob(filepath.Join(r.WorkDir, "checkpoint", "state-*"))
+	if len(states) != 1 {
+		t.Fatalf("failed run left %d checkpoint payloads, want 1", len(states))
+	}
+	if err := os.Truncate(states[0], 10); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, _ := NewExecutor(r)
+	out, rep, err := e2.Run(ds.Clone())
+	if err != nil {
+		t.Fatalf("rerun over a corrupt checkpoint failed: %v", err)
+	}
+	if rep.Resumed {
+		t.Fatal("rerun resumed a corrupt checkpoint")
+	}
+	if got, want := jsonl(out), jsonl(clean); got != want {
+		t.Fatalf("rerun export differs from a clean run:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// An empty input runs every op over nothing, with and without the
+// cache and checkpoints.
+func TestExecutorEmptyInput(t *testing.T) {
+	for _, persist := range []bool{false, true} {
+		r := testRecipe(t, basicYAML)
+		r.UseCache, r.UseCheckpoint = persist, persist
+		e, err := NewExecutor(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, rep, err := e.Run(dataset.New(nil))
+		if err != nil {
+			t.Fatalf("persist=%v: %v", persist, err)
+		}
+		if out == nil || out.Len() != 0 {
+			t.Fatalf("persist=%v: output %v, want an empty dataset", persist, out)
+		}
+		if n := rep.InCount(); n != 0 {
+			t.Fatalf("persist=%v: InCount = %d, want 0", persist, n)
+		}
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // LoadInput resolves the recipe's input — dataset_path or the weighted
-// sources: list — into a fully resident dataset for the batch executor.
-// The streaming engine opens the identical spec incrementally via
-// stream.OpenSource(r.DatasetSpec(), ...), so both backends consume the
-// same sample sequence, provenance tags included.
+// sources: list — into a fully resident dataset for the Executor.
+// Streaming runs open the identical spec incrementally via
+// stream.OpenSource(r.DatasetSpec(), ...), so batch and streaming runs
+// consume the same sample sequence, provenance tags included.
 func LoadInput(r *config.Recipe) (*dataset.Dataset, error) {
 	spec := r.DatasetSpec()
 	if spec == "" {

@@ -1,5 +1,5 @@
-// External test package: the measurement test drives dist.Measure with a
-// real batch executor from internal/core, which itself depends on dist
+// External test package: the measurement test drives dist.Measure with
+// the real engine from internal/stream, which itself depends on dist
 // (the planner reads persisted profiles) — an in-package test would
 // cycle.
 package dist_test
@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	_ "repro/internal/ops/all"
+	"repro/internal/stream"
 )
 
 func TestPartitionCoversAllSamples(t *testing.T) {
@@ -54,7 +54,7 @@ process:
 	if err != nil {
 		t.Fatal(err)
 	}
-	process, err := core.MeasureRunner(recipe)
+	process, err := stream.MeasureRunner(recipe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/stream"
 )
 
 // Fig10Cell is one (dataset, engine, nodes) scalability measurement.
@@ -65,7 +65,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		}
 		// Measure shard costs once; compose every engine/node-count from
 		// the same measurements so curves are comparable.
-		process, err := core.MeasureRunner(recipe)
+		process, err := stream.MeasureRunner(recipe)
 		if err != nil {
 			return nil, err
 		}

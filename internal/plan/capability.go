@@ -4,8 +4,8 @@ import "repro/internal/ops"
 
 // Capability classifies how an operator may execute under the streaming
 // engine. It used to live in internal/stream; the planner owns it now so
-// both backends read execution order, fusion groups, and capability
-// placement from one layer.
+// execution order, fusion groups, and capability placement come from
+// one layer.
 type Capability int
 
 const (

@@ -21,9 +21,9 @@
 //  6. cache-boundary — the leading shard-cacheable run is annotated
 //
 // The result is a physical plan whose nodes carry their prediction and
-// per-pass provenance; djprocess -explain renders it. After a run, both
-// backends fold their measured per-op costs back into the sidecar
-// (core.PersistProfiles), so the next run plans from real measurements.
+// per-pass provenance; djprocess -explain renders it. After a run, the
+// engine (internal/stream) folds its measured per-op costs back into the
+// sidecar, so the next run plans from real measurements.
 package plan
 
 import (
@@ -97,7 +97,7 @@ type PassRecord struct {
 	Dur time.Duration
 }
 
-// Plan is the physical plan both backends execute.
+// Plan is the physical plan the engine executes.
 type Plan struct {
 	// Nodes is the physical operator sequence, in execution order.
 	Nodes []PhysicalOp

@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/plan"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
@@ -226,7 +226,7 @@ func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *te
 	p.runID, p.tele = runID, tele
 	p.filterOnly = make([]bool, len(pl.Nodes))
 	for i := range pl.Nodes {
-		p.filterOnly[i] = core.OpKind(pl.Nodes[i].Op) == "filter"
+		p.filterOnly[i] = stream.OpKind(pl.Nodes[i].Op) == "filter"
 	}
 	rawRecipe, err := json.Marshal(r)
 	if err != nil {

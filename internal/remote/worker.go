@@ -24,10 +24,10 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/plan"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
@@ -49,7 +49,7 @@ func PlanFingerprint(p *plan.Plan) string {
 type session struct {
 	runID  string
 	plan   *plan.Plan
-	runner *core.OpRunner
+	runner *stream.OpRunner
 	tele   *telemetry.Run
 }
 
@@ -125,9 +125,9 @@ func (w *WorkerServer) configure(creq dist.ConfigureRequest) dist.ConfigureRespo
 	if fp != creq.Fingerprint {
 		return reject("plan fingerprint %s, coordinator has %s", fp, creq.Fingerprint)
 	}
-	core.ConfigureSpill(p, &r)
+	stream.ConfigureSpill(p, &r)
 
-	sess := &session{runID: creq.RunID, plan: p, runner: core.NewOpRunner(p.Built(), r.Process, nil)}
+	sess := &session{runID: creq.RunID, plan: p, runner: stream.NewOpRunner(p.Built(), r.Process, nil)}
 	if r.Journal {
 		tele, err := telemetry.NewRun(telemetry.RunOptions{
 			JournalDir: filepath.Join(w.WorkDir, "journal"),
@@ -136,7 +136,7 @@ func (w *WorkerServer) configure(creq dist.ConfigureRequest) dist.ConfigureRespo
 		if err == nil {
 			sess.tele = tele
 			tele.Begin("worker", r.ProjectName, "coordinator", 0)
-			sess.runner = sess.runner.WithObserver(core.AttachTelemetry(tele, p))
+			sess.runner = sess.runner.WithObserver(stream.AttachTelemetry(tele, p))
 		}
 	}
 
@@ -214,7 +214,7 @@ func (w *WorkerServer) runOps(sess *session, h dist.RunHeader, d *dataset.Datase
 		if sess.tele != nil {
 			sess.tele.Emit(telemetry.Event{
 				Type: telemetry.EvOpComplete, Span: sess.tele.NewSpan(),
-				Name: node.Op.Name(), Kind: core.OpKind(node.Op), PlanIdx: i,
+				Name: node.Op.Name(), Kind: stream.OpKind(node.Op), PlanIdx: i,
 				Shard: h.Shard, In: int64(in), Out: int64(d.Len()),
 				DurNS: int64(dur), Workers: 1,
 			})
@@ -262,7 +262,7 @@ func (w *WorkerServer) handleRun(rw http.ResponseWriter, req *http.Request) {
 	if nodes := deltaNodes(sess); h.Delta && h.FromOp >= 0 && h.ToOp <= len(nodes) {
 		delta = true
 		for i := h.FromOp; i < h.ToOp; i++ {
-			if core.OpKind(nodes[i].Op) != "filter" {
+			if stream.OpKind(nodes[i].Op) != "filter" {
 				delta = false
 				break
 			}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/plan"
@@ -44,18 +42,11 @@ type MemberFlusher interface {
 func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool, shardIdx int, shardSpan int64) (*dataset.Dataset, bool, error) {
 	e := p.eng
 	n := len(st.ops)
-	chainKey := ""
-	var keys []string
+	var c *opChain
 	k := 0
 	hits := 0
 	if useCache {
-		chainKey = cache.Key(d.Fingerprint(), "stream-shard", nil)
-		keys = make([]string, n)
-		ck := chainKey
-		for i, op := range st.ops {
-			ck = e.runner.OpCacheKey(ck, op)
-			keys[i] = ck
-		}
+		c = p.shardChain(st, d)
 		// Exact per-op prefix resume (entries written by local runs or
 		// in-process fallbacks).
 		for k < n {
@@ -64,7 +55,7 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 			}
 			opStart := time.Now()
 			inCount := d.Len()
-			cached, ok, err := e.store.Get(keys[k])
+			cached, ok, err := c.get(k)
 			if err != nil {
 				return nil, false, err
 			}
@@ -72,20 +63,8 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 				break
 			}
 			d = cached
-			chainKey = keys[k]
 			hits++
-			p.agg.addOp(st.planIdx[k], inCount, d.Len(), time.Since(opStart), 0, true, 1, 1)
-			e.runner.TraceCacheHit(st.ops[k], inCount, d.Len(), time.Since(opStart))
-			if e.tele != nil {
-				e.tele.Op(st.planIdx[k]).CacheHit(inCount, d.Len())
-				e.tele.Emit(telemetry.Event{
-					Type: telemetry.EvCacheHit, Parent: shardSpan,
-					Name: st.ops[k].Name(), Kind: core.OpKind(st.ops[k]), PlanIdx: st.planIdx[k],
-					Phase: p.phase, Shard: shardIdx,
-					In: int64(inCount), Out: int64(d.Len()),
-					DurNS: int64(time.Since(opStart)),
-				})
-			}
+			e.cacheHit(p.agg, st.ops[k], st.planIdx[k], p.phase, shardIdx, shardSpan, inCount, d.Len(), time.Since(opStart))
 			k++
 		}
 		if k == n {
@@ -95,23 +74,14 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 		// run). Intermediate flows are unknown; attribute the suffix as
 		// cache hits carrying the known entry and exit counts.
 		if k < n-1 {
-			cached, ok, err := e.store.Get(keys[n-1])
+			cached, ok, err := c.get(n - 1)
 			if err != nil {
 				return nil, false, err
 			}
 			if ok {
 				in := d.Len()
 				for i := k; i < n; i++ {
-					p.agg.addOp(st.planIdx[i], in, cached.Len(), 0, 0, true, 1, 1)
-					if e.tele != nil {
-						e.tele.Op(st.planIdx[i]).CacheHit(in, cached.Len())
-						e.tele.Emit(telemetry.Event{
-							Type: telemetry.EvCacheHit, Parent: shardSpan,
-							Name: st.ops[i].Name(), Kind: core.OpKind(st.ops[i]), PlanIdx: st.planIdx[i],
-							Phase: p.phase, Shard: shardIdx,
-							In: int64(in), Out: int64(cached.Len()),
-						})
-					}
+					e.cacheHit(p.agg, st.ops[i], st.planIdx[i], p.phase, shardIdx, shardSpan, in, cached.Len(), 0)
 					in = cached.Len()
 				}
 				return cached, true, nil
@@ -126,7 +96,7 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 			// The fleet is dead: finish this stage in-process from where
 			// the cached prefix left off — same ops, same order, same
 			// cache discipline, so the export stays byte-identical.
-			d2, h2, err := p.runLocalFrom(st, d, k, chainKey, useCache, shardIdx, shardSpan)
+			d2, h2, err := p.runLocalFrom(st, d, k, c, 1, shardIdx, shardSpan)
 			if err != nil {
 				return nil, false, err
 			}
@@ -143,17 +113,15 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 			e.tele.Op(f.PlanIdx).Observe(int(f.In), int(f.Out), f.Bytes, dur)
 			e.tele.Emit(telemetry.Event{
 				Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: shardSpan,
-				Name: f.Name, Kind: core.OpKind(st.ops[li]), PlanIdx: f.PlanIdx,
+				Name: f.Name, Kind: OpKind(st.ops[li]), PlanIdx: f.PlanIdx,
 				Phase: p.phase, Shard: shardIdx,
 				In: f.In, Out: f.Out, DurNS: f.DurNS,
 				Workers: 1, Worker: workerID,
 			})
 		}
 	}
-	if useCache {
-		if err := e.store.Put(keys[n-1], out); err != nil {
-			return nil, false, err
-		}
+	if err := c.put(n-1, out); err != nil {
+		return nil, false, err
 	}
 	return out, false, nil
 }
@@ -163,7 +131,7 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 // coordinator never executed locally still exist (TakeMemberStats
 // reports all members), so this is a sum, not an append, in the common
 // case.
-func mergeMemberFlows(stats []core.OpStat, flows []dist.MemberFlow) {
+func mergeMemberFlows(stats []OpStat, flows []dist.MemberFlow) {
 	for _, f := range flows {
 		if f.PlanIdx < 0 || f.PlanIdx >= len(stats) {
 			continue

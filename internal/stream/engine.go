@@ -1,15 +1,21 @@
-// Package stream is the shard-pipelined streaming execution backend: the
-// second engine next to the batch executor of internal/core. It
-// partitions the input into fixed-size shards and pushes every shard
-// through the full operator chain inside a worker pool, so shard K can
-// be in op 3 while shard K+1 is still in op 1 and peak memory stays
-// O(shards in flight) instead of O(corpus).
+// Package stream is the execution engine of Data-Juicer. It partitions
+// the input into fixed-size shards and pushes every shard through the
+// full operator chain inside a worker pool, so shard K can be in op 3
+// while shard K+1 is still in op 1 and peak memory stays O(shards in
+// flight) instead of O(corpus).
+//
+// Batch execution (internal/core) is this engine over one in-memory
+// shard. A DatasetSource holding its whole dataset as a single shard
+// runs one phase whose shard goes through every plan op — deduplicators
+// included, since one shard holds every sample — with np workers, and
+// the boundaries between ops carry the chain cache and the checkpoints
+// of the source paper's Sec. 4.1.1.
 //
 // The engine executes the physical plan built by the unified planner
 // (internal/plan): execution order, fusion groups, and capability
-// placement all come from that one layer, shared with the batch
-// executor. Operators execute through the same core.OpRunner, so both
-// backends apply ops identically. The planned capability decides the
+// placement all come from that one layer. Operators execute through
+// OpRunner, which the djworker's shard-local op loop (internal/remote)
+// shares. The planned capability decides the
 // flow: mappers and filters are shard-local; signature deduplicators
 // (ops.StreamDeduper) run against a shared signature index that is
 // hash-partitioned so shards probe concurrently — per-partition batches
@@ -21,7 +27,8 @@
 //
 // With the recipe's cache enabled, every shard's leading run of
 // shard-local ops is cached per (shard content, op chain) key via
-// internal/cache, so an interrupted run resumes at shard granularity.
+// internal/cache, so an interrupted run resumes at shard granularity;
+// a single-shard run caches every op of its chain instead.
 //
 // The schedule is fixed for the whole run: np workers, ShardSize samples
 // per shard, and at most MaxInFlight shards resident at once. When the
@@ -32,13 +39,13 @@ package stream
 import (
 	"fmt"
 	"io"
+	"log"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/ops"
@@ -83,8 +90,7 @@ type Engine struct {
 	recipe      *config.Recipe
 	plan        *plan.Plan
 	phases      []phase
-	runner      *core.OpRunner
-	store       *cache.Store
+	runner      *OpRunner
 	shardSize   int
 	maxInFlight int
 	np          int
@@ -161,9 +167,28 @@ func splitPhases(p *plan.Plan) []phase {
 	return phases
 }
 
-// New validates the recipe and builds a streaming engine over the same
-// physical plan the batch executor would run, produced by the unified
-// planner (internal/plan).
+// wholePhases is the single-shard shape of the plan: one phase whose one
+// stage applies every op, in plan order, to the whole dataset.
+func wholePhases(p *plan.Plan) []phase {
+	st := stage{kind: stageLocal}
+	for i := range p.Nodes {
+		st.ops = append(st.ops, p.Nodes[i].Op)
+		st.planIdx = append(st.planIdx, i)
+	}
+	return []phase{{stages: []stage{st}}}
+}
+
+// singleShard returns the dataset of a source that holds its whole
+// input as at most one shard — the batch shape — or nil.
+func singleShard(src Source) *dataset.Dataset {
+	if ds, ok := src.(*DatasetSource); ok && ds.d.Len() <= ds.shardSize {
+		return ds.d
+	}
+	return nil
+}
+
+// New validates the recipe and builds an engine over the physical plan
+// produced by the unified planner (internal/plan).
 func New(r *config.Recipe, opts Options) (*Engine, error) {
 	p, err := plan.Build(r)
 	if err != nil {
@@ -177,7 +202,7 @@ func New(r *config.Recipe, opts Options) (*Engine, error) {
 		recipe:      r,
 		plan:        p,
 		phases:      splitPhases(p),
-		runner:      core.NewOpRunner(p.Built(), r.Process, tracer),
+		runner:      NewOpRunner(p.Built(), r.Process, tracer),
 		shardSize:   opts.ShardSize,
 		maxInFlight: opts.MaxInFlight,
 		np:          dataset.Workers(r.NP),
@@ -193,25 +218,46 @@ func New(r *config.Recipe, opts Options) (*Engine, error) {
 	if e.maxInFlight < e.np {
 		e.maxInFlight = e.np
 	}
-	if opts.Telemetry != nil {
-		e.tele = opts.Telemetry
-		e.runner = e.runner.WithObserver(core.AttachTelemetry(e.tele, p))
-		if tracer != nil {
-			tracer.SetSink(core.TraceJournalSink(e.tele))
-		}
-	}
-	if r.UseCache {
-		store, err := cache.NewStore(filepath.Join(r.WorkDir, "stream-cache"), r.CacheCompression)
-		if err != nil {
-			return nil, err
-		}
-		e.store = store
-	}
+	e.EnableTelemetry(opts.Telemetry)
 	// Barrier deduplicators (minhash/simhash/vector) spill through the
-	// same op-level machinery as the batch backend; shared-index stages
-	// spill through the partitioned index's disk-backed signature sets.
-	core.ConfigureSpill(p, r)
+	// op-level machinery; shared-index stages spill through the
+	// partitioned index's disk-backed signature sets.
+	ConfigureSpill(p, r)
 	return e, nil
+}
+
+// EnableTelemetry connects the engine to a telemetry run, as
+// Options.Telemetry does at construction. Call before Run.
+func (e *Engine) EnableTelemetry(t *telemetry.Run) {
+	if t == nil {
+		return
+	}
+	e.tele = t
+	e.runner = e.runner.WithObserver(AttachTelemetry(t, e.plan))
+	if tr := e.runner.Tracer(); tr != nil {
+		tr.SetSink(traceJournalSink(t))
+	}
+}
+
+// ConfigureSpill installs the planner's spill budgets on the plan's
+// spill-capable ops. With the cache enabled, spill runs live under the
+// cache directory so cache disk accounting covers them; otherwise under
+// <work_dir>/spill. No directory is created here — the spill structures
+// mkdir lazily, only when an op actually spills.
+func ConfigureSpill(p *plan.Plan, r *config.Recipe) {
+	if r.WorkDir == "" {
+		return
+	}
+	dir := cache.SpillDir(r.WorkDir, r.UseCache)
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if n.SpillBudget <= 0 {
+			continue
+		}
+		if sp, ok := n.Op.(ops.Spiller); ok {
+			sp.ConfigureSpill(ops.SpillSpec{Dir: dir, BudgetBytes: n.SpillBudget})
+		}
+	}
 }
 
 // Plan returns the physical plan the engine runs.
@@ -223,28 +269,52 @@ func (e *Engine) Plan() *plan.Plan { return e.plan }
 // dedup events carry counts but no example pairs.
 func (e *Engine) Tracer() *trace.Tracer { return e.runner.Tracer() }
 
-// DescribePlan renders the plan with each op's streaming capability.
-func (e *Engine) DescribePlan() string { return e.plan.Describe() }
-
 // Run streams src through the plan into sink and returns the merged
 // report. The source is always closed before Run returns; the sink is
 // closed only on success — on error, partially written sink state (e.g.
 // a sharded sink's .part files) is left as-is rather than finalized,
 // and the next successful run over the same prefix cleans it up.
+//
+// A DatasetSource holding its whole dataset as one shard runs in the
+// single-shard shape: one phase whose shard goes through every op with
+// np workers, the recipe's cache chains across every op under
+// <work_dir>/cache, and a checkpoint saved at each op boundary lets a
+// failed run resume. Otherwise the shard cache lives under
+// <work_dir>/stream-cache.
 func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 	start := time.Now()
 	agg := newAggregator(e.plan)
 	var totalIn, totalOut, sourceShards int
 
+	phases, shardSize := e.phases, e.shardSize
+	var whole *opChain // the single-shard run's op chain
+	var store *cache.Store
+	var err error
+	if d := singleShard(src); d != nil {
+		phases, shardSize = wholePhases(e.plan), max(d.Len(), 1)
+		e.tele.SetInputTotal(d.Len())
+		var saved *dataset.Dataset
+		if whole, saved, err = e.openChain(d, phases[0].stages[0].ops); saved != nil {
+			src.Close()
+			src, _ = NewDatasetSource(saved, max(saved.Len(), 1))
+		}
+	} else if e.recipe.UseCache {
+		store, err = cache.NewStore(filepath.Join(e.recipe.WorkDir, "stream-cache"), e.recipe.CacheCompression)
+	}
+	if err != nil {
+		src.Close()
+		return nil, err
+	}
+
 	if e.tele != nil {
-		e.tele.Emit(core.PlanEvent(e.plan))
-		e.tele.SetControls(e.np, e.shardSize, e.maxInFlight)
+		e.tele.Emit(planEvent(e.plan))
+		e.tele.SetControls(e.np, shardSize, e.maxInFlight)
 	}
 
 	cur := src
-	for pi := range e.phases {
-		ph := e.phases[pi]
-		last := pi == len(e.phases)-1
+	for pi := range phases {
+		ph := phases[pi]
+		last := pi == len(phases)-1
 		var phaseSpan int64
 		var phaseStart time.Time
 		if e.tele != nil {
@@ -272,7 +342,7 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 			collected = append(collected, d)
 			return nil
 		}
-		in, shards, err := e.runPhase(pi, phaseSpan, cur, ph.stages, agg, emit)
+		in, shards, err := e.runPhase(pi, phaseSpan, cur, ph.stages, agg, store, whole, emit)
 		cur.Close()
 		if err != nil {
 			return nil, err
@@ -280,48 +350,50 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 		if pi == 0 {
 			totalIn, sourceShards = in, shards
 		}
-		if last {
+		if !last {
+			// Pipeline barrier: merge the drained shards in order, apply
+			// the global op with full parallelism, and re-shard the result.
+			merged := dataset.Concat(collected...)
+			bStart := time.Now()
+			out, err := e.runner.ApplyOp(ph.barrier, merged, e.recipe.NP)
+			if err != nil {
+				return nil, fmt.Errorf("stream: barrier op %s: %w", ph.barrier.Name(), err)
+			}
+			bDur := time.Since(bStart)
+			agg.addOp(ph.barrierIdx, merged.Len(), out.Len(), bDur, bDur, false,
+				dataset.Workers(e.recipe.NP), dataset.Workers(e.recipe.NP))
 			if e.tele != nil {
 				e.tele.Emit(telemetry.Event{
-					Type: telemetry.EvSpanEnd, Span: phaseSpan, Parent: e.tele.RunSpan(),
-					Kind: "phase", Phase: pi, DurNS: int64(time.Since(phaseStart)),
+					Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: phaseSpan,
+					Name: ph.barrier.Name(), Kind: "barrier", PlanIdx: ph.barrierIdx,
+					Phase: pi, In: int64(merged.Len()), Out: int64(out.Len()),
+					DurNS: int64(bDur), Workers: dataset.Workers(e.recipe.NP),
 				})
+				emitSpill(e.tele, ph.barrier, ph.barrierIdx)
 			}
-			break
+			if cur, err = NewDatasetSource(out, e.shardSize); err != nil {
+				return nil, err
+			}
 		}
-		// Pipeline barrier: merge the drained shards in order, apply the
-		// global op with full parallelism, and re-shard the result.
-		merged := dataset.Concat(collected...)
-		bStart := time.Now()
-		out, err := e.runner.ApplyOp(ph.barrier, merged, e.recipe.NP)
-		if err != nil {
-			return nil, fmt.Errorf("stream: barrier op %s: %w", ph.barrier.Name(), err)
-		}
-		bDur := time.Since(bStart)
-		agg.addOp(ph.barrierIdx, merged.Len(), out.Len(), bDur, bDur, false,
-			dataset.Workers(e.recipe.NP), dataset.Workers(e.recipe.NP))
-		if e.tele != nil {
-			e.tele.Emit(telemetry.Event{
-				Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: phaseSpan,
-				Name: ph.barrier.Name(), Kind: "barrier", PlanIdx: ph.barrierIdx,
-				Phase: pi, In: int64(merged.Len()), Out: int64(out.Len()),
-				DurNS: int64(bDur), Workers: dataset.Workers(e.recipe.NP),
-			})
-			core.EmitSpill(e.tele, ph.barrier, ph.barrierIdx)
+		// A single-shard run's phase lasts as long as its one shard,
+		// whose span_end already records that; the journal keeps one.
+		if e.tele != nil && whole == nil {
 			e.tele.Emit(telemetry.Event{
 				Type: telemetry.EvSpanEnd, Span: phaseSpan, Parent: e.tele.RunSpan(),
 				Kind: "phase", Phase: pi, DurNS: int64(time.Since(phaseStart)),
 			})
-		}
-		cur, err = NewDatasetSource(out, e.shardSize)
-		if err != nil {
-			return nil, err
 		}
 	}
 	if err := sink.Close(); err != nil {
 		return nil, err
 	}
 	rep := agg.finish(sourceShards, totalIn, totalOut, time.Since(start))
+	if whole != nil {
+		if whole.ckpt != nil {
+			_ = whole.ckpt.Clear()
+		}
+		rep.ResumedOps = whole.from
+	}
 	// Attribute fused ops to their members (cumulative across executed
 	// shards — counters never tick on cache hits) and fold the run's
 	// measurements into the profile sidecar so the next plan of this
@@ -350,8 +422,110 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 	for i := range exec {
 		exec[i].Members = rep.OpStats[i].Members
 	}
-	_ = core.PersistProfiles(e.plan, exec)
+	_ = persistProfiles(e.plan, exec)
 	return rep, nil
+}
+
+// opChain is the cache chain of a run of ops over one shard. keys[i] is
+// the cache key of the state after the run's first i ops, folded from
+// key_0 through each op's identity. A single-shard run's chain spans the
+// whole plan with key_0 from the input content alone, so editing the
+// recipe tail reuses the whole cached prefix; its last key names the
+// input plus the whole plan, which is what a checkpoint must match.
+type opChain struct {
+	keys  []string
+	store *cache.Store             // nil: no cache
+	ckpt  *cache.CheckpointManager // single-shard runs with use_checkpoint only
+	from  int                      // leading ops a resumed checkpoint already applied
+}
+
+// newChain folds the identities of a run of ops onto key0.
+func (e *Engine) newChain(key0 string, run []ops.OP, store *cache.Store) *opChain {
+	keys := make([]string, 1, len(run)+1)
+	keys[0] = key0
+	for i, op := range run {
+		keys = append(keys, e.runner.OpCacheKey(keys[i], op))
+	}
+	return &opChain{keys: keys, store: store}
+}
+
+// openChain prepares the op chain of a single-shard run of run over d:
+// the cache under <work_dir>/cache and, with checkpoints on, the state
+// to resume from. An unreadable checkpoint counts as none: it is
+// deleted with a warning and the run starts cold rather than failing
+// every rerun.
+func (e *Engine) openChain(d *dataset.Dataset, run []ops.OP) (*opChain, *dataset.Dataset, error) {
+	r := e.recipe
+	if !r.UseCache && !r.UseCheckpoint {
+		return &opChain{}, nil, nil
+	}
+	var store *cache.Store
+	if r.UseCache {
+		var err error
+		if store, err = cache.NewStore(filepath.Join(r.WorkDir, "cache"), r.CacheCompression); err != nil {
+			return nil, nil, err
+		}
+	}
+	c := e.newChain(cache.Key(d.Fingerprint(), "dataset", nil), run, store)
+	if !r.UseCheckpoint {
+		return c, nil, nil
+	}
+	ckpt, err := cache.NewCheckpointManager(filepath.Join(r.WorkDir, "checkpoint"), r.CacheCompression)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.ckpt = ckpt
+	from, saved, _, err := ckpt.Resume(c.keys[len(c.keys)-1])
+	if err == nil && (from < 0 || from > len(run)) {
+		err = fmt.Errorf("checkpoint after op %d of a %d-op run", from, len(run))
+	}
+	if err != nil {
+		log.Printf("stream: deleting unreadable checkpoint, running cold: %v", err)
+		_ = ckpt.Clear()
+		return c, nil, nil
+	}
+	c.from = from
+	return c, saved, nil
+}
+
+// get returns the cached state after op i of the run, if any.
+func (c *opChain) get(i int) (*dataset.Dataset, bool, error) {
+	if c == nil || c.store == nil {
+		return nil, false, nil
+	}
+	return c.store.Get(c.keys[i+1])
+}
+
+// put records the state after op i of the run in the cache and, for a
+// single-shard run, as its checkpoint.
+func (c *opChain) put(i int, d *dataset.Dataset) error {
+	if c == nil {
+		return nil
+	}
+	if c.store != nil {
+		if err := c.store.Put(c.keys[i+1], d); err != nil {
+			return err
+		}
+	}
+	if c.ckpt != nil {
+		return c.ckpt.Save(c.keys[len(c.keys)-1], i+1, d)
+	}
+	return nil
+}
+
+// cacheHit records plan op idx answered from the cache: the report
+// aggregate, the lineage tracer, and the cache_hit event under parent.
+func (e *Engine) cacheHit(agg *aggregator, op ops.OP, idx, phase, shard int, parent int64, in, out int, dur time.Duration) {
+	agg.addOp(idx, in, out, dur, 0, true, 1, 1)
+	e.runner.TraceCacheHit(op, in, out, dur)
+	if e.tele != nil {
+		e.tele.Op(idx).CacheHit(in, out)
+		e.tele.Emit(telemetry.Event{
+			Type: telemetry.EvCacheHit, Parent: parent,
+			Name: op.Name(), Kind: OpKind(op), PlanIdx: idx, Phase: phase, Shard: shard,
+			In: int64(in), Out: int64(out), DurNS: int64(dur),
+		})
+	}
 }
 
 // errAborted is returned by shard processing interrupted by another
@@ -364,6 +538,8 @@ type phaseRun struct {
 	phase   int
 	span    int64 // the phase's journal span (0 without telemetry)
 	stages  []stage
+	store   *cache.Store       // the shard cache (nil when off)
+	whole   *opChain           // the single-shard run's op chain (nil for multi-shard runs)
 	indexes map[int]*partIndex // stage index -> partitioned signature index
 	agg     *aggregator
 	gate    *gate
@@ -461,10 +637,10 @@ func (g *gate) close() {
 // hands the results to emit in shard order. It returns the total samples
 // and shards read from src.
 func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []stage, agg *aggregator,
-	emit func(*dataset.Dataset) error) (inCount, shardCount int, err error) {
+	store *cache.Store, whole *opChain, emit func(*dataset.Dataset) error) (inCount, shardCount int, err error) {
 
 	p := &phaseRun{
-		eng: e, phase: phaseIdx, span: phaseSpan, stages: stages, agg: agg,
+		eng: e, phase: phaseIdx, span: phaseSpan, stages: stages, agg: agg, store: store, whole: whole,
 		indexes: map[int]*partIndex{},
 		abort:   make(chan struct{}),
 		gate:    newGate(e.maxInFlight),
@@ -634,8 +810,8 @@ func (p *phaseRun) processShard(sh *Shard) error {
 			// runs behind a shared-index stage depend on other shards'
 			// signatures (see the plan's cache-boundary pass).
 			var hit bool
-			useCache := st.cacheable && e.store != nil
-			if e.dispatch != nil {
+			useCache := st.cacheable && p.store != nil
+			if e.dispatch != nil && p.whole == nil {
 				d, hit, err = p.runLocalDispatch(st, d, useCache, sh.Index, shardSpan)
 			} else {
 				d, hit, err = p.runLocal(st, d, useCache, sh.Index, shardSpan)
@@ -665,26 +841,38 @@ func (p *phaseRun) processShard(sh *Shard) error {
 	return nil
 }
 
-// runLocal applies one run of shard-local ops, mirroring the batch
-// executor's chain-cache discipline per shard when useCache is set.
+// runLocal applies one run of ops to a shard. A single-shard run applies
+// every plan op with np workers along its op chain; otherwise the
+// shard-local ops run serially, with a per-shard chain cache when
+// useCache is set.
 func (p *phaseRun) runLocal(st stage, d *dataset.Dataset, useCache bool, shardIdx int, shardSpan int64) (*dataset.Dataset, bool, error) {
-	chainKey := ""
-	if useCache {
-		chainKey = cache.Key(d.Fingerprint(), "stream-shard", nil)
+	c, from, np := p.whole, 0, 1
+	if c != nil {
+		from, np = c.from, p.eng.recipe.NP
+	} else if useCache {
+		c = p.shardChain(st, d)
 	}
-	out, hits, err := p.runLocalFrom(st, d, 0, chainKey, useCache, shardIdx, shardSpan)
+	out, hits, err := p.runLocalFrom(st, d, from, c, np, shardIdx, shardSpan)
 	if err != nil {
 		return nil, false, err
 	}
 	return out, hits == len(st.ops) && hits > 0, nil
 }
 
-// runLocalFrom is runLocal starting at op index `from` with the chain
-// cache key already folded up to it — the in-process fallback entry
-// point for a dispatched stage whose cached prefix was consumed before
-// the fleet died. It returns the cache hits seen from `from` onward.
-func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, chainKey string, useCache bool, shardIdx int, shardSpan int64) (*dataset.Dataset, int, error) {
+// shardChain is the cache chain of a shard through one run of
+// shard-local ops, with key_0 from the shard's content alone.
+func (p *phaseRun) shardChain(st stage, d *dataset.Dataset) *opChain {
+	return p.eng.newChain(cache.Key(d.Fingerprint(), "stream-shard", nil), st.ops, p.store)
+}
+
+// runLocalFrom is runLocal starting at op index `from` of the run along
+// chain c (nil: no cache), applying each op with np workers. It is also
+// the in-process fallback entry point for a dispatched stage whose
+// cached prefix was consumed before the fleet died. It returns the
+// cache hits seen from `from` onward.
+func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, c *opChain, np, shardIdx int, shardSpan int64) (*dataset.Dataset, int, error) {
 	e := p.eng
+	workers := dataset.Workers(np)
 	hits := 0
 	for i := from; i < len(st.ops); i++ {
 		op := st.ops[i]
@@ -693,51 +881,33 @@ func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, chainKey
 		}
 		opStart := time.Now()
 		inCount := d.Len()
-		var key string
-		if useCache {
-			key = e.runner.OpCacheKey(chainKey, op)
-			if cached, ok, err := e.store.Get(key); err != nil {
-				return nil, 0, err
-			} else if ok {
-				d = cached
-				chainKey = key
-				hits++
-				p.agg.addOp(st.planIdx[i], inCount, d.Len(), time.Since(opStart), 0, true, 1, 1)
-				e.runner.TraceCacheHit(op, inCount, d.Len(), time.Since(opStart))
-				if e.tele != nil {
-					e.tele.Op(st.planIdx[i]).CacheHit(inCount, d.Len())
-					e.tele.Emit(telemetry.Event{
-						Type: telemetry.EvCacheHit, Parent: shardSpan,
-						Name: op.Name(), Kind: core.OpKind(op), PlanIdx: st.planIdx[i],
-						Phase: p.phase, Shard: shardIdx,
-						In: int64(inCount), Out: int64(d.Len()),
-						DurNS: int64(time.Since(opStart)),
-					})
-				}
-				continue
-			}
+		if cached, ok, err := c.get(i); err != nil {
+			return nil, 0, err
+		} else if ok {
+			d = cached
+			hits++
+			e.cacheHit(p.agg, op, st.planIdx[i], p.phase, shardIdx, shardSpan, inCount, d.Len(), time.Since(opStart))
+			continue
 		}
-		out, err := e.runner.ApplyOp(op, d, 1)
+		out, err := e.runner.ApplyOp(op, d, np)
 		if err != nil {
 			return nil, 0, fmt.Errorf("stream: op %d (%s): %w", st.planIdx[i], op.Name(), err)
 		}
 		d = out
-		if useCache {
-			if err := e.store.Put(key, d); err != nil {
-				return nil, 0, err
-			}
-			chainKey = key
+		if err := c.put(i, d); err != nil {
+			return nil, 0, err
 		}
 		opDur := time.Since(opStart)
-		p.agg.addOp(st.planIdx[i], inCount, d.Len(), opDur, opDur, false, 1, 1)
+		p.agg.addOp(st.planIdx[i], inCount, d.Len(), opDur, opDur, false, workers, workers)
 		if e.tele != nil {
 			e.tele.Emit(telemetry.Event{
 				Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: shardSpan,
-				Name: op.Name(), Kind: core.OpKind(op), PlanIdx: st.planIdx[i],
+				Name: op.Name(), Kind: OpKind(op), PlanIdx: st.planIdx[i],
 				Phase: p.phase, Shard: shardIdx,
 				In: int64(inCount), Out: int64(d.Len()),
-				DurNS: int64(opDur), Workers: 1,
+				DurNS: int64(opDur), Workers: workers,
 			})
+			emitSpill(e.tele, op, st.planIdx[i])
 		}
 	}
 	return d, hits, nil

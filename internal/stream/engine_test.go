@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/format"
 	"repro/internal/ops"
@@ -95,6 +94,8 @@ func sampleLines(t *testing.T, d *dataset.Dataset) []string {
 	return lines
 }
 
+// runBatch runs the batch shape: the whole input as one in-memory shard,
+// which is how core.Executor drives the engine.
 func runBatch(t *testing.T, recipeYAML, input string) *dataset.Dataset {
 	t.Helper()
 	r := mustRecipe(t, recipeYAML)
@@ -103,15 +104,25 @@ func runBatch(t *testing.T, recipeYAML, input string) *dataset.Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := core.NewExecutor(r)
+	eng, err := New(r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := exec.Run(d)
+	var sink CollectSink
+	if _, err := eng.Run(wholeSource(t, d), &sink); err != nil {
+		t.Fatal(err)
+	}
+	return sink.Dataset()
+}
+
+// wholeSource holds d as one in-memory shard.
+func wholeSource(t *testing.T, d *dataset.Dataset) *DatasetSource {
+	t.Helper()
+	src, err := NewDatasetSource(d, max(d.Len(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return src
 }
 
 func runStream(t *testing.T, recipeYAML, input string, opts Options) (*dataset.Dataset, *Report) {
@@ -293,7 +304,7 @@ func TestStreamFusedMemberAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fused *core.OpStat
+	var fused *OpStat
 	for i := range rep.OpStats {
 		if len(rep.OpStats[i].Members) > 0 {
 			fused = &rep.OpStats[i]

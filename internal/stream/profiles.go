@@ -1,4 +1,4 @@
-package core
+package stream
 
 import (
 	"repro/internal/config"
@@ -7,21 +7,21 @@ import (
 	"repro/internal/plan"
 )
 
-// PersistProfiles folds one run's measured per-op costs into the plan's
+// persistProfiles folds one run's measured per-op costs into the plan's
 // profile sidecar, so the next plan.Build of the same recipe orders its
-// commutative filter groups from real measurements. Both backends call
-// it after a successful run: the batch executor with its report, the
-// streaming engine with its executed-only aggregates (cache-hit shards
-// carry no execution cost and are excluded upstream). Entries are keyed
-// by operator identity (name + params hash), fused ops contribute their
-// members individually (the planner predicts members, not fusions), and
-// cache-hit entries are skipped — a cache read's duration is not an
-// execution cost. Costs are normalized to CPU time per sample
-// (Duration × Workers / InCount): member attribution and streaming
-// shard work already sum serial CPU time, while batch ops measure wall
-// time under N workers, and the sidecar must hold one comparable basis.
+// commutative filter groups from real measurements. The engine calls it
+// after a successful run with its executed-only aggregates (cache-hit
+// shards carry no execution cost and are excluded upstream). Entries are
+// keyed by operator identity (name + params hash), fused ops contribute
+// their members individually (the planner predicts members, not
+// fusions), and cache-hit entries are skipped — a cache read's duration
+// is not an execution cost. Costs are normalized to CPU time per sample
+// (Duration × Workers / InCount): member attribution and shard-local
+// work already sum serial CPU time, while barrier ops and single-shard
+// runs measure wall time under N workers, and the sidecar must hold one
+// comparable basis.
 // No-op when the plan has no sidecar (use_profiles off or no work dir).
-func PersistProfiles(p *plan.Plan, stats []OpStat) error {
+func persistProfiles(p *plan.Plan, stats []OpStat) error {
 	if p.ProfilePath == "" {
 		return nil
 	}
@@ -63,22 +63,27 @@ func PersistProfiles(p *plan.Plan, stats []OpStat) error {
 // MeasureRunner returns a single-threaded, cache-free, profile-free
 // runner over the recipe's operator chain, shaped for dist.Measure: the
 // per-shard cost probe must measure the chain as written, not as the
-// planner would reorder it from history.
+// planner would reorder it from history. Each call runs the engine over
+// d as one in-memory shard.
 func MeasureRunner(r *config.Recipe) (func(d *dataset.Dataset) (int, error), error) {
 	m := *r
 	m.NP = 1
 	m.UseCache = false
 	m.UseCheckpoint = false
 	m.UseProfiles = false
-	exec, err := NewExecutor(&m)
+	eng, err := New(&m, Options{})
 	if err != nil {
 		return nil, err
 	}
 	return func(d *dataset.Dataset) (int, error) {
-		out, _, err := exec.Run(d)
+		src, err := NewDatasetSource(d, max(d.Len(), 1))
 		if err != nil {
 			return 0, err
 		}
-		return out.Len(), nil
+		rep, err := eng.Run(src, DiscardSink{})
+		if err != nil {
+			return 0, err
+		}
+		return rep.OutCount, nil
 	}, nil
 }

@@ -6,11 +6,32 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/plan"
 	"repro/internal/telemetry"
 )
+
+// OpStat reports one executed operator.
+type OpStat struct {
+	Name     string
+	InCount  int
+	OutCount int
+	Duration time.Duration
+	CacheHit bool
+	// PlanIndex is the op's position in the physical plan.
+	PlanIndex int
+	// Workers is the parallelism Duration was measured under: a barrier
+	// op, like every op of a single-shard run, is applied with N workers,
+	// so Duration is wall time of parallel work, while shard-local ops run
+	// serially inside each shard (Duration sums per-shard CPU time,
+	// Workers 1). Profile persistence multiplies Duration by Workers so
+	// every sidecar entry is on one CPU-time basis, comparable across
+	// shapes and with fused-member attribution.
+	Workers int
+	// Members attributes a fused op's work to its member filters
+	// (nil for plain ops and for cache-hit entries, where nothing ran).
+	Members []plan.MemberStat
+}
 
 // ShardStat records one shard's trip through one phase of the plan.
 type ShardStat struct {
@@ -27,14 +48,14 @@ type ShardStat struct {
 	CacheHit bool
 }
 
-// Report summarizes one streaming run: the per-shard statistics merged
-// into per-operator aggregates comparable with the batch core.Report.
+// Report summarizes one run: the per-shard statistics merged into
+// per-operator aggregates.
 type Report struct {
 	// OpStats holds one aggregated entry per planned op, in plan order.
 	// InCount/OutCount sum over shards; Duration sums shard processing
 	// time (CPU time, not wall time); CacheHit is set when every shard's
 	// result for the op came from the shard cache.
-	OpStats []core.OpStat
+	OpStats []OpStat
 	// Shards holds the per-shard, per-phase statistics.
 	Shards []ShardStat
 	// ShardCount is the number of shards read from the source.
@@ -43,6 +64,9 @@ type Report struct {
 	InCount, OutCount int
 	// ResumedShards counts shard runs satisfied by the shard cache.
 	ResumedShards int
+	// ResumedOps counts the leading plan ops a single-shard run skipped
+	// by resuming a checkpoint; their OpStats entries stay empty.
+	ResumedOps int
 	// PlanSize is the number of planned ops.
 	PlanSize int
 	// Total is the end-to-end wall time.
@@ -62,7 +86,7 @@ func (r *Report) Merge(o *Report) {
 		return
 	}
 	if len(r.OpStats) < len(o.OpStats) {
-		grown := make([]core.OpStat, len(o.OpStats))
+		grown := make([]OpStat, len(o.OpStats))
 		copy(grown, r.OpStats)
 		r.OpStats = grown
 		r.PlanSize = o.PlanSize
@@ -138,7 +162,7 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, ", %d resumed from cache", r.ResumedShards)
 	}
 	b.WriteString(")\n")
-	b.WriteString(telemetry.FormatOpTable(core.TelemetryRows(r.OpStats)))
+	b.WriteString(telemetry.FormatOpTable(TelemetryRows(r.OpStats)))
 	b.WriteString(r.DistSummary())
 	return b.String()
 }
@@ -182,8 +206,8 @@ func (r *Report) DistSummary() string {
 // cost and the planner would order an expensive filter as if free.
 type aggregator struct {
 	mu     sync.Mutex
-	stats  []core.OpStat
-	exec   []core.OpStat
+	stats  []OpStat
+	exec   []OpStat
 	misses []int // per op: shards that executed it without a cache hit
 	hits   []int
 	report *Report
@@ -191,8 +215,8 @@ type aggregator struct {
 
 func newAggregator(p *plan.Plan) *aggregator {
 	a := &aggregator{
-		stats:  make([]core.OpStat, len(p.Nodes)),
-		exec:   make([]core.OpStat, len(p.Nodes)),
+		stats:  make([]OpStat, len(p.Nodes)),
+		exec:   make([]OpStat, len(p.Nodes)),
 		misses: make([]int, len(p.Nodes)),
 		hits:   make([]int, len(p.Nodes)),
 		report: &Report{PlanSize: len(p.Nodes)},
@@ -241,7 +265,7 @@ func (a *aggregator) addOp(i, in, out int, dur, execDur time.Duration, cacheHit 
 }
 
 // execStats returns the executed-only aggregates (for PersistProfiles).
-func (a *aggregator) execStats() []core.OpStat {
+func (a *aggregator) execStats() []OpStat {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.exec

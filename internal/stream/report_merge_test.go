@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/plan"
 )
@@ -14,7 +13,7 @@ import (
 func sampleReport(seed int) *Report {
 	d := time.Duration(seed) * time.Millisecond
 	return &Report{
-		OpStats: []core.OpStat{
+		OpStats: []OpStat{
 			{Name: "clean", PlanIndex: 0, InCount: 10 * seed, OutCount: 9 * seed, Duration: d, Workers: 1},
 			{Name: "fused_filter", PlanIndex: 1, InCount: 9 * seed, OutCount: 5 * seed, Duration: 2 * d, Workers: 1,
 				Members: []plan.MemberStat{

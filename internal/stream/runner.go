@@ -1,4 +1,4 @@
-package core
+package stream
 
 import (
 	"fmt"
@@ -26,15 +26,15 @@ type OpObservation struct {
 }
 
 // OpObserver receives one OpObservation per operator application.
-// Implementations must be safe for concurrent calls: the streaming engine
-// applies ops from many shard workers at once.
+// Implementations must be safe for concurrent calls: the engine applies
+// ops from many shard workers at once.
 type OpObserver interface {
 	ObserveOp(OpObservation)
 }
 
 // OpRunner applies planned operators to datasets: the per-op execution
 // logic — type dispatch, tracer hooks, and chain cache keys — shared by
-// the batch Executor and the streaming engine (internal/stream). An
+// the engine and the djworker's shard-local op loop (internal/remote). An
 // OpRunner is immutable after construction and safe for concurrent use;
 // the tracer (if any) serializes its own recording.
 type OpRunner struct {
@@ -269,18 +269,10 @@ func (r *OpRunner) ApplyDedup(dd ops.Deduplicator, d *dataset.Dataset, np int) (
 
 // TraceCacheHit records a cache-hit event for op (no-op without a tracer).
 func (r *OpRunner) TraceCacheHit(op ops.OP, in, out int, dur time.Duration) {
-	if r.tracer == nil {
-		return
+	if r.tracer != nil {
+		r.tracer.Record(trace.Event{
+			OpName: op.Name(), Kind: OpKind(op), InCount: in, OutCount: out,
+			Duration: dur, CacheHit: true,
+		})
 	}
-	kind := "mapper"
-	switch op.(type) {
-	case ops.Filter:
-		kind = "filter"
-	case ops.Deduplicator:
-		kind = "deduplicator"
-	}
-	r.tracer.Record(trace.Event{
-		OpName: op.Name(), Kind: kind, InCount: in, OutCount: out,
-		Duration: dur, CacheHit: true,
-	})
 }

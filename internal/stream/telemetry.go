@@ -1,4 +1,4 @@
-package core
+package stream
 
 import (
 	"repro/internal/ops"
@@ -7,10 +7,10 @@ import (
 	"repro/internal/trace"
 )
 
-// This file adapts core types onto the telemetry substrate
+// This file adapts engine types onto the telemetry substrate
 // (internal/telemetry, which deliberately imports nothing from the rest
 // of the repository): plan-node registration, journal event
-// construction, and report-row conversion shared by both backends.
+// construction, and report-row conversion.
 
 // telemetryObserver routes runner observations to per-op instrument
 // handles resolved once at attach time — the hot path is one map lookup
@@ -57,9 +57,9 @@ func OpKind(op ops.OP) string {
 	}
 }
 
-// PlanEvent builds the journal's plan event from a physical plan,
+// planEvent builds the journal's plan event from a physical plan,
 // including per-pass durations.
-func PlanEvent(p *plan.Plan) telemetry.Event {
+func planEvent(p *plan.Plan) telemetry.Event {
 	e := telemetry.Event{Type: telemetry.EvPlan}
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
@@ -88,9 +88,9 @@ func PlanEvent(p *plan.Plan) telemetry.Event {
 	return e
 }
 
-// TraceJournalSink adapts tracer records into journal trace events:
+// traceJournalSink adapts tracer records into journal trace events:
 // lineage joins the journal instead of living in a parallel file.
-func TraceJournalSink(t *telemetry.Run) func(trace.Event) {
+func traceJournalSink(t *telemetry.Run) func(trace.Event) {
 	return func(e trace.Event) {
 		ev := telemetry.Event{
 			Type: telemetry.EvTrace, Name: e.OpName, Kind: e.Kind,
@@ -113,8 +113,28 @@ func TraceJournalSink(t *telemetry.Run) func(trace.Event) {
 	}
 }
 
-// TelemetryRows converts executed op stats into the shared table rows
-// both backends render, fused-member attribution included.
+// emitSpill emits the spill journal event and metrics for an op whose
+// most recent execution pushed index state to disk; a no-op for ops that
+// are not spill-capable or stayed in memory.
+func emitSpill(t *telemetry.Run, op ops.OP, planIdx int) {
+	sp, ok := op.(ops.Spiller)
+	if !ok || t == nil {
+		return
+	}
+	st := sp.SpillStats()
+	if !st.Spilled {
+		return
+	}
+	t.ObserveSpill(op.Name(), st.Runs, st.SpilledBytes)
+	t.Emit(telemetry.Event{
+		Type: telemetry.EvSpill, Parent: t.RunSpan(),
+		Name: op.Name(), PlanIdx: planIdx,
+		Bytes: st.SpilledBytes, SpillRuns: st.Runs,
+	})
+}
+
+// TelemetryRows converts executed op stats into the table rows the run
+// summary renders, fused-member attribution included.
 func TelemetryRows(stats []OpStat) []telemetry.OpRow {
 	rows := make([]telemetry.OpRow, 0, len(stats))
 	for _, st := range stats {

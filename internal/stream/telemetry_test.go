@@ -3,8 +3,8 @@ package stream
 import (
 	"bytes"
 	"testing"
+	"time"
 
-	"repro/internal/core"
 	"repro/internal/format"
 	_ "repro/internal/ops/all"
 	"repro/internal/telemetry"
@@ -24,20 +24,19 @@ func journalRun(t *testing.T, backend, input, workDir string) []telemetry.Event 
 	tele.Begin(backend, "equivalence", input, 0)
 	switch backend {
 	case "batch":
-		exec, err := core.NewExecutor(recipe)
+		eng, err := New(recipe, Options{Telemetry: tele})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec.EnableTelemetry(tele)
 		d, err := format.Load(input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := exec.Run(d)
+		rep, err := eng.Run(wholeSource(t, d), DiscardSink{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tele.End("ok", d.Len(), out.Len(), nil, nil)
+		tele.End("ok", d.Len(), rep.OutCount, nil, nil)
 	case "stream":
 		eng, err := New(recipe, Options{ShardSize: 16, Telemetry: tele})
 		if err != nil {
@@ -163,5 +162,44 @@ func TestStreamJournalShape(t *testing.T) {
 	}
 	if shardEnds == 0 || opCompletes == 0 {
 		t.Errorf("missing shard spans (%d) or op completions (%d)", shardEnds, opCompletes)
+	}
+}
+
+// TestBatchJournalShape: a batch run is the engine over one in-memory
+// shard, so its journal holds one phase and one shard span that parents
+// every op completion, and the timeline takes the phase's duration from
+// that shard.
+func TestBatchJournalShape(t *testing.T) {
+	input, _ := corpusWithDupes(t, 60)
+	events := journalRun(t, "batch", input, t.TempDir())
+
+	var phases, shards, phaseEnds int
+	var shard telemetry.Event
+	for _, e := range events {
+		switch {
+		case e.Type == telemetry.EvPhase:
+			phases++
+		case e.Type == telemetry.EvSpanEnd && e.Kind == "shard":
+			shards++
+			shard = e
+		case e.Type == telemetry.EvSpanEnd && e.Kind == "phase":
+			phaseEnds++
+		}
+	}
+	if phases != 1 || shards != 1 || phaseEnds != 0 {
+		t.Fatalf("batch journal: %d phases, %d shard spans, %d phase span ends; want 1, 1, 0",
+			phases, shards, phaseEnds)
+	}
+	for _, e := range events {
+		if e.Type == telemetry.EvOpComplete && e.Parent != shard.Span {
+			t.Errorf("op %s completes under span %d, not the shard %d", e.Name, e.Parent, shard.Span)
+		}
+	}
+	tl, err := telemetry.BuildTimeline(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tl.Phases) != 1 || tl.Phases[0].Dur != time.Duration(shard.DurNS) {
+		t.Fatalf("timeline phases %+v, want one lasting the shard's %dns", tl.Phases, shard.DurNS)
 	}
 }

@@ -224,6 +224,12 @@ func BuildTimeline(events []Event) (*Timeline, error) {
 	}
 	sort.SliceStable(tl.Ops, func(i, j int) bool { return tl.Ops[i].PlanIdx < tl.Ops[j].PlanIdx })
 	for _, ph := range phases {
+		if ph.Dur == 0 {
+			// No phase span_end: a single-shard run's phase, or the open
+			// phase of a truncated journal. It lasted at least as long
+			// as its slowest shard.
+			ph.Dur = ph.MaxShardWall
+		}
 		tl.Phases = append(tl.Phases, *ph)
 	}
 	sort.Slice(tl.Phases, func(i, j int) bool { return tl.Phases[i].Phase < tl.Phases[j].Phase })
