@@ -307,15 +307,10 @@ func runBatch(recipe *config.Recipe, recipeSrc, inputSpec string, showPlan, prob
 	tele.End("ok", report.InCount(), out.Len(), nil, func(e *telemetry.Event) {
 		e.PlanOps = report.PlanSize
 		if report.Resumed {
-			e.Note = "(resumed from checkpoint)"
+			e.Note = "(resumed from persisted state)"
 		}
 		if len(report.OpStats) == 0 {
-			// Zero executed ops: the plan was empty or the whole run was
-			// resumed past its last operator.
 			e.Note = "(empty plan)"
-			if report.Resumed {
-				e.Note = "(fully resumed from checkpoint)"
-			}
 		}
 	})
 	fmt.Print(telemetry.FormatOpTable(stream.TelemetryRows(report.OpStats)))

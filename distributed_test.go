@@ -8,6 +8,8 @@
 package repro_test
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/corpus"
+	"repro/internal/dataset"
 	"repro/internal/disttest"
 	"repro/internal/ops"
 	_ "repro/internal/ops/all"
@@ -387,5 +390,76 @@ func TestDistributedFingerprintMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("rejection does not mention the fingerprint: %v", err)
+	}
+}
+
+// failAfterSink accepts n shards, then fails every Consume: a run that
+// dies after some shards finished.
+type failAfterSink struct{ n int }
+
+func (s *failAfterSink) Consume(*dataset.Dataset) error {
+	if s.n--; s.n < 0 {
+		return errors.New("sink full")
+	}
+	return nil
+}
+
+func (s *failAfterSink) Close() error { return nil }
+
+// TestDistributedCheckpointResume: a dispatched use_checkpoint run that
+// fails after some shards finished resumes those shards on the rerun
+// from their stage-final checkpoints — dispatched stages walk the same
+// op chains as in-process ones — exports exactly what a single-process
+// run exports, and leaves the checkpoint store empty.
+func TestDistributedCheckpointResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses")
+	}
+	input := chaosInput(t)
+	r := chaosRecipe(t)
+	r.UseCheckpoint = true
+	r.Process = r.Process[:5] // no barrier: the failure lands mid-phase
+	want, _, err := runStreamOnce(t, r, input, 40, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r.WorkDir = t.TempDir()
+	pool, err := remote.NewPool(remote.PoolOptions{
+		Workers:   2,
+		WorkerBin: disttest.WorkerBin(t),
+		WorkDir:   t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	eng, err := stream.New(r, stream.Options{ShardSize: 40, Dispatch: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pConfigure(pool, r, eng, nil); err != nil {
+		t.Fatal(err)
+	}
+	src, err := stream.OpenSource(input, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(src, &failAfterSink{n: 3}); err == nil || !strings.Contains(err.Error(), "sink full") {
+		t.Fatalf("want the sink failure, got %v", err)
+	}
+
+	got, rep, err := runStreamOnce(t, r, input, 40, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ResumedShards == 0 || rep.Dist == nil {
+		t.Fatalf("rerun resumed %d shards (dist stats %+v), want the finished ones", rep.ResumedShards, rep.Dist)
+	}
+	if string(got) != string(want) {
+		t.Fatal("resumed dispatched export differs from a single-process run")
+	}
+	if left, _ := os.ReadDir(filepath.Join(r.WorkDir, "checkpoint")); len(left) != 0 {
+		t.Fatalf("successful run left %d checkpoint files", len(left))
 	}
 }

@@ -37,9 +37,9 @@
 //   - Batch (internal/core.Executor, the default): the whole dataset is
 //     resident and is the engine's single shard, so each op runs once
 //     over the whole dataset with parallel workers and no op needs a
-//     barrier. Peak memory is O(corpus). The op boundaries carry the
-//     whole-dataset cache chain and checkpoint resume; probes and
-//     disk-space analysis need the resident dataset.
+//     barrier. Peak memory is O(corpus). Every op boundary persists a
+//     state of the whole-dataset op chain; probes and disk-space
+//     analysis need the resident dataset.
 //
 // Every op applies through one OpRunner, so kept-sample sets are
 // identical at any shard size — a contract enforced by the randomized

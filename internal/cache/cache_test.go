@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -76,6 +77,12 @@ func TestLZJRejectsCorruptInput(t *testing.T) {
 		[]byte("x"),
 		[]byte("12345678"), // bad magic
 		{0x31, 0x4a, 0x5a, 0x4c, 9, 9, 9, 9, 0xff}, // magic ok-ish but garbage body
+		// A literal length past int range must not wrap into a negative
+		// slice bound.
+		{0x31, 0x4a, 0x5a, 0x4c, 4, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		// A declared length no body of this size can encode is refused
+		// before anything is allocated for it.
+		{0x31, 0x4a, 0x5a, 0x4c, 0xff, 0xff, 0xff, 0x7f, 0x00},
 	}
 	for i, c := range cases {
 		if _, err := codec.Decode(c); err == nil {
@@ -261,66 +268,50 @@ func TestKeyDistinguishesParams(t *testing.T) {
 	}
 }
 
+// TestCheckpointSaveResume: a checkpoint is an entry of a durable
+// store. It round-trips through Put and Get like any entry, Count reads
+// its sample count from the header alone, and no temp file is left.
 func TestCheckpointSaveResume(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewCheckpointManager(dir, "lzj")
+	store, err := NewStore(dir, "lzj")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing to resume initially.
-	if _, _, ok, err := m.Resume("recipe-1"); ok || err != nil {
-		t.Fatalf("initial resume = %v, %v", ok, err)
+	store.SetDurable(true)
+	if _, ok := store.Count("state"); ok {
+		t.Fatal("Count found a missing entry")
 	}
 	d := sampleDataset(20)
-	if err := m.Save("recipe-1", 3, d); err != nil {
+	if err := store.Put("state", d); err != nil {
 		t.Fatal(err)
 	}
-	idx, got, ok, err := m.Resume("recipe-1")
+	if n, ok := store.Count("state"); !ok || n != 20 {
+		t.Fatalf("Count = %d, %v; want 20", n, ok)
+	}
+	got, ok, err := store.Get("state")
 	if err != nil || !ok {
-		t.Fatalf("resume = %v, %v", ok, err)
+		t.Fatalf("Get = %v, %v", ok, err)
 	}
-	if idx != 3 || got.Fingerprint() != d.Fingerprint() {
-		t.Fatalf("resume idx=%d", idx)
+	if got.Fingerprint() != d.Fingerprint() {
+		t.Fatal("durable round trip corrupted the dataset")
 	}
-	// A different recipe must not resume from this checkpoint.
-	if _, _, ok, _ := m.Resume("recipe-2"); ok {
-		t.Fatal("foreign recipe resumed")
-	}
-}
-
-func TestCheckpointReplacementCleansOld(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := NewCheckpointManager(dir, "none")
-	d := sampleDataset(5)
-	m.Save("r", 1, d)
-	m.Save("r", 2, d)
-	m.Save("r", 3, d)
 	entries, _ := os.ReadDir(dir)
-	// Exactly one state file plus the manifest should remain.
-	var states int
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "state-") {
-			states++
-		}
-	}
-	if states != 1 {
-		t.Fatalf("stale state files left: %d", states)
-	}
-	idx, _, ok, _ := m.Resume("r")
-	if !ok || idx != 3 {
-		t.Fatalf("resume after replacement: idx=%d ok=%v", idx, ok)
+	if len(entries) != 1 {
+		t.Fatalf("durable Put left %d files, want 1", len(entries))
 	}
 }
 
 func TestCheckpointClear(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewCheckpointManager(dir, "none")
-	m.Save("r", 1, sampleDataset(2))
-	if err := m.Clear(); err != nil {
+	store, _ := NewStore(dir, "none")
+	store.Put("r", sampleDataset(2))
+	// A manifest of the older checkpoint layout goes too.
+	os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte("{}"), 0o644)
+	if err := store.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := m.Resume("r"); ok {
-		t.Fatal("resume after clear")
+	if _, ok, _ := store.Get("r"); ok {
+		t.Fatal("entry survived Clear")
 	}
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 0 {
@@ -328,12 +319,51 @@ func TestCheckpointClear(t *testing.T) {
 	}
 }
 
-func TestCheckpointCorruptManifest(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := NewCheckpointManager(dir, "none")
-	os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte("not json"), 0o644)
-	if _, _, _, err := m.Resume("r"); err == nil {
-		t.Fatal("corrupt manifest should surface an error")
+// TestStoreGetRejectsCorruptEntry: every way an entry can be damaged —
+// truncation, appended bytes, a flipped body bit, a header whose count
+// disagrees with the body, a foreign file — makes Get report a
+// *CorruptError and delete the entry, so the next Get is a plain miss.
+func TestStoreGetRejectsCorruptEntry(t *testing.T) {
+	d := sampleDataset(30)
+	damage := map[string]func(raw []byte) []byte{
+		"truncated header": func(raw []byte) []byte { return raw[:10] },
+		"truncated body":   func(raw []byte) []byte { return raw[:len(raw)-7] },
+		"garbage appended": func(raw []byte) []byte { return append(raw, "garbage{"...) },
+		"body bit flipped": func(raw []byte) []byte { raw[len(raw)-3] ^= 0x10; return raw },
+		"count mismatch": func(raw []byte) []byte {
+			raw[4]++ // the count field; body, length and checksum stay valid
+			return raw
+		},
+		"bad magic":    func(raw []byte) []byte { raw[0] = 'X'; return raw },
+		"older layout": func(raw []byte) []byte { return raw[entryHeaderSize:] },
+	}
+	for _, codec := range codecNames {
+		for name, f := range damage {
+			t.Run(codec+"/"+name, func(t *testing.T) {
+				store, _ := NewStore(t.TempDir(), codec)
+				if err := store.Put("k", d); err != nil {
+					t.Fatal(err)
+				}
+				raw, err := os.ReadFile(store.path("k"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(store.path("k"), f(raw), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, ok, err := store.Get("k")
+				var ce *CorruptError
+				if ok || !errors.As(err, &ce) || ce.Path != store.path("k") || ce.Reason == "" {
+					t.Fatalf("Get = ok %v, err %v; want a CorruptError", ok, err)
+				}
+				if _, err := os.Stat(store.path("k")); !os.IsNotExist(err) {
+					t.Fatalf("corrupt entry not deleted: %v", err)
+				}
+				if _, ok, err := store.Get("k"); ok || err != nil {
+					t.Fatalf("Get after deletion = %v, %v; want a plain miss", ok, err)
+				}
+			})
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
-// Package cache implements the space-optimization layer of Sec. 6:
-// per-operator dataset caches keyed by content fingerprints, crash-recovery
-// checkpoints with the bounded-peak-space cleanup discipline of Appendix
-// A.2, and pluggable cache compression. The stdlib provides gzip and flate;
-// the "lzj" codec is a from-scratch LZ77 byte compressor standing in for
-// the LZ4/zstd fast codecs the paper uses.
+// Package cache implements the space-optimization layer of Sec. 6: the
+// per-operator dataset store keyed by content fingerprints, the Appendix
+// A.2 space model, and pluggable cache compression. One entry format
+// serves both of the paper's space policies: the cache keeps every
+// state, and checkpoint mode keeps only each op chain's newest state in
+// a durable store (the engine's policy, internal/stream). Every entry
+// carries its sample count and a body checksum, and every load verifies
+// them. The stdlib provides gzip and flate; the "lzj" codec is a
+// from-scratch LZ77 byte compressor standing in for the LZ4/zstd fast
+// codecs the paper uses.
 package cache
 
 import (
@@ -128,6 +132,7 @@ func (lzjCodec) Name() string { return "lzj" }
 
 const (
 	lzjMinMatch   = 4
+	lzjMaxMatch   = 1 << 12 // bounds a token's output, hence any input's
 	lzjMaxOffset  = 1 << 16
 	lzjHashBits   = 16
 	lzjHashShift  = 64 - lzjHashBits
@@ -185,7 +190,7 @@ func (lzjCodec) Encode(src []byte) ([]byte, error) {
 		}
 		// Extend the match.
 		matchLen := 8
-		for i+matchLen < len(src) && src[cand+matchLen] == src[i+matchLen] {
+		for i+matchLen < len(src) && matchLen < lzjMaxMatch && src[cand+matchLen] == src[i+matchLen] {
 			matchLen++
 		}
 		emitLiterals(src[litStart:i])
@@ -206,6 +211,13 @@ func (lzjCodec) Decode(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("lzj: bad magic")
 	}
 	want := int(binary.LittleEndian.Uint32(src[4:]))
+	// A match token spends at least 4 input bytes (two varints and the
+	// offset) on at most lzjMaxMatch output bytes, and a literal one
+	// input byte on one output byte, so a larger declared length cannot
+	// be genuine: reject it before allocating for it.
+	if want > (len(src)-lzjHeaderSize)*(lzjMaxMatch/4) {
+		return nil, fmt.Errorf("lzj: declared length %d exceeds what %d bytes encode", want, len(src))
+	}
 	out := make([]byte, 0, want)
 	i := lzjHeaderSize
 	for i < len(src) {
@@ -214,7 +226,7 @@ func (lzjCodec) Decode(src []byte) ([]byte, error) {
 			return nil, fmt.Errorf("lzj: bad literal length at %d", i)
 		}
 		i += n
-		if i+int(litLen) > len(src) {
+		if litLen > uint64(len(src)-i) {
 			return nil, fmt.Errorf("lzj: literal run past end")
 		}
 		out = append(out, src[i:i+int(litLen)]...)
@@ -236,7 +248,7 @@ func (lzjCodec) Decode(src []byte) ([]byte, error) {
 		// A match may never carry the output past the declared length:
 		// without this check a corrupt varint could drive an unbounded
 		// copy loop before the final length comparison ran.
-		if mlRaw > uint64(want) || len(out)+matchLen > want {
+		if mlRaw > lzjMaxMatch-lzjMinMatch || len(out)+matchLen > want {
 			return nil, fmt.Errorf("lzj: match overruns declared length %d", want)
 		}
 		start := len(out) - offset

@@ -2,10 +2,13 @@ package cache
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,10 +21,36 @@ import (
 // Store is the per-operator dataset cache: after each OP the executor can
 // persist the current dataset keyed by (input fingerprint, op name, op
 // params), so re-running a recipe with a modified tail reuses every
-// unchanged prefix — the cache mechanism of Sec. 4.1.1.
+// unchanged prefix — the cache mechanism of Sec. 4.1.1. Checkpoints are
+// entries of a durable Store (see SetDurable).
+//
+// Every entry is a fixed header followed by the codec-encoded JSONL
+// body. The header records a magic number, the sample count, the body
+// length and a CRC-32C of the body, so Count reads a state's size
+// without decoding it and Get verifies every byte it loads.
 type Store struct {
-	dir   string
-	codec Codec
+	dir     string
+	codec   Codec
+	durable bool
+}
+
+// Entry header layout: magic, sample count, body length, body CRC-32C.
+const (
+	entryMagic      = "DJC1"
+	entryHeaderSize = 4 + 8 + 8 + 4
+)
+
+var crc32c = crc32.MakeTable(crc32.Castagnoli)
+
+// CorruptError reports an entry that failed verification on load. Get
+// has already deleted the entry, so callers treat it as a miss.
+type CorruptError struct {
+	Path   string
+	Reason string
+}
+
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("cache: corrupt entry %s: %s", e.Path, e.Reason)
 }
 
 // NewStore opens (creating if needed) a cache directory with the given
@@ -36,6 +65,11 @@ func NewStore(dir, compression string) (*Store, error) {
 	}
 	return &Store{dir: dir, codec: codec}, nil
 }
+
+// SetDurable makes every later Put fsync the entry before renaming it
+// into place and the directory after, so an entry is on disk under its
+// name before the next write that depends on it starts (checkpoints).
+func (s *Store) SetDurable(on bool) { s.durable = on }
 
 // Key derives the cache key for applying an operator (with params) to a
 // dataset state identified by inputFingerprint.
@@ -69,27 +103,69 @@ func (s *Store) Put(key string, d *dataset.Dataset) error {
 	if err := d.WriteJSONL(buf); err != nil {
 		return err
 	}
-	enc, err := s.codec.Encode(buf.Bytes())
+	body, err := s.codec.Encode(buf.Bytes())
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(s.path(key), enc, false)
+	return writeFileAtomic(s.path(key), s.durable, entryHeader(d.Len(), body), body)
 }
 
-// writeFileAtomic writes data to a uniquely named temp file beside path
+// entryHeader builds the fixed header of an entry holding count samples
+// in body.
+func entryHeader(count int, body []byte) []byte {
+	h := make([]byte, entryHeaderSize)
+	copy(h, entryMagic)
+	binary.LittleEndian.PutUint64(h[4:], uint64(count))
+	binary.LittleEndian.PutUint64(h[12:], uint64(len(body)))
+	binary.LittleEndian.PutUint32(h[20:], crc32.Checksum(body, crc32c))
+	return h
+}
+
+// decodeEntry verifies a whole entry — header, body length, checksum,
+// codec, JSONL and sample count — and returns its dataset, or the
+// reason it is corrupt.
+func decodeEntry(codec Codec, raw []byte) (*dataset.Dataset, error) {
+	if len(raw) < entryHeaderSize || string(raw[:4]) != entryMagic {
+		return nil, fmt.Errorf("bad header")
+	}
+	count := binary.LittleEndian.Uint64(raw[4:])
+	body := raw[entryHeaderSize:]
+	if n := binary.LittleEndian.Uint64(raw[12:]); n != uint64(len(body)) {
+		return nil, fmt.Errorf("body is %d bytes, header says %d", len(body), n)
+	}
+	if binary.LittleEndian.Uint32(raw[20:]) != crc32.Checksum(body, crc32c) {
+		return nil, fmt.Errorf("body checksum mismatch")
+	}
+	dec, err := codec.Decode(body)
+	if err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	ds, err := dataset.ReadJSONL(bytes.NewReader(dec))
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	if uint64(ds.Len()) != count {
+		return nil, fmt.Errorf("%d samples, header says %d", ds.Len(), count)
+	}
+	return ds, nil
+}
+
+// writeFileAtomic writes parts to a uniquely named temp file beside path
 // and renames it over path, so concurrent writers of one path (two
 // in-flight shards with identical content, two processes sharing a work
 // dir) never share a temp file and readers never see a partial file.
 // The temp file is removed on any error. With durable set, the temp
-// file is fsynced before the rename and the directory after it, so the
-// file is on disk under its name before the next write that depends on
-// it starts.
-func writeFileAtomic(path string, data []byte, durable bool) error {
+// file is fsynced before the rename and the directory after it.
+func writeFileAtomic(path string, durable bool, parts ...[]byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	for _, p := range parts {
+		if err == nil {
+			_, err = tmp.Write(p)
+		}
+	}
 	if err == nil {
 		err = tmp.Chmod(0o644)
 	}
@@ -121,23 +197,43 @@ func writeFileAtomic(path string, data []byte, durable bool) error {
 }
 
 // Get loads the dataset stored under key; ok is false on a cache miss.
+// An entry that fails verification is deleted and reported as a
+// *CorruptError, which callers treat as a miss.
 func (s *Store) Get(key string) (d *dataset.Dataset, ok bool, err error) {
-	raw, err := os.ReadFile(s.path(key))
+	path := s.path(key)
+	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	dec, err := s.codec.Decode(raw)
+	ds, err := decodeEntry(s.codec, raw)
 	if err != nil {
-		return nil, false, fmt.Errorf("cache: decode %s: %w", key, err)
-	}
-	ds, err := dataset.ReadJSONL(bytes.NewReader(dec))
-	if err != nil {
-		return nil, false, fmt.Errorf("cache: parse %s: %w", key, err)
+		os.Remove(path)
+		return nil, false, &CorruptError{Path: path, Reason: err.Error()}
 	}
 	return ds, true, nil
+}
+
+// Count returns the sample count recorded in the header of key's entry,
+// reading nothing else; ok is false when the entry is missing or its
+// header is unreadable. The body is not verified.
+func (s *Store) Count(key string) (n int, ok bool) {
+	f, err := os.Open(s.path(key))
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	var h [entryHeaderSize]byte
+	if _, err := io.ReadFull(f, h[:]); err != nil || string(h[:4]) != entryMagic {
+		return 0, false
+	}
+	c := binary.LittleEndian.Uint64(h[4:])
+	if c > math.MaxInt32 {
+		return 0, false
+	}
+	return int(c), true
 }
 
 // Delete removes the entry for key if present.
@@ -147,6 +243,20 @@ func (s *Store) Delete(key string) error {
 		return nil
 	}
 	return err
+}
+
+// Clear removes every file in the store's directory: a checkpoint
+// store's entries after a successful run, and anything an older layout
+// left there.
+func (s *Store) Clear() error {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		os.Remove(filepath.Join(s.dir, e.Name()))
+	}
+	return nil
 }
 
 // Keys lists the stored cache keys.
@@ -193,130 +303,4 @@ func SpillDir(workDir string, useCache bool) string {
 		return filepath.Join(workDir, "cache", "spill")
 	}
 	return filepath.Join(workDir, "spill")
-}
-
-// Checkpoint captures a recoverable pipeline state: which recipe was
-// running, how many operators completed, and the dataset at that point.
-type Checkpoint struct {
-	// RecipeFingerprint identifies the recipe configuration; a checkpoint
-	// from a different recipe must not be resumed.
-	RecipeFingerprint string `json:"recipe_fingerprint"`
-	// OpIndex is the number of operators already applied.
-	OpIndex int `json:"op_index"`
-	// DataFile is the dataset payload file, relative to the manager dir.
-	DataFile string `json:"data_file"`
-}
-
-// CheckpointManager persists checkpoints with the cleanup discipline of
-// Appendix A.2: the previous checkpoint is deleted only after the new one
-// is fully written, so peak disk usage stays bounded (≈3S including the
-// original dataset) while a valid recovery point always exists.
-type CheckpointManager struct {
-	dir   string
-	codec Codec
-}
-
-// NewCheckpointManager opens (creating if needed) a checkpoint directory.
-func NewCheckpointManager(dir, compression string) (*CheckpointManager, error) {
-	codec, err := CodecByName(compression)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &CheckpointManager{dir: dir, codec: codec}, nil
-}
-
-func (m *CheckpointManager) manifestPath() string {
-	return filepath.Join(m.dir, "checkpoint.json")
-}
-
-// Save writes a checkpoint after opIndex operators, replacing any previous
-// checkpoint only once the new payload is durable: payload and manifest
-// are each written to a temp file, fsynced and renamed into place, so a
-// crash leaves either the old checkpoint or the new one, never a live
-// manifest naming a partial payload.
-func (m *CheckpointManager) Save(recipeFP string, opIndex int, d *dataset.Dataset) error {
-	var buf bytes.Buffer
-	if err := d.WriteJSONL(&buf); err != nil {
-		return err
-	}
-	enc, err := m.codec.Encode(buf.Bytes())
-	if err != nil {
-		return err
-	}
-	dataFile := fmt.Sprintf("state-%03d.%s", opIndex, m.codec.Name())
-	if err := writeFileAtomic(filepath.Join(m.dir, dataFile), enc, true); err != nil {
-		return err
-	}
-	prev, _ := m.load()
-	manifest, err := json.Marshal(Checkpoint{
-		RecipeFingerprint: recipeFP,
-		OpIndex:           opIndex,
-		DataFile:          dataFile,
-	})
-	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(m.manifestPath(), manifest, true); err != nil {
-		return err
-	}
-	// Only now is it safe to drop the previous state file.
-	if prev != nil && prev.DataFile != dataFile {
-		os.Remove(filepath.Join(m.dir, prev.DataFile))
-	}
-	return nil
-}
-
-func (m *CheckpointManager) load() (*Checkpoint, error) {
-	raw, err := os.ReadFile(m.manifestPath())
-	if err != nil {
-		return nil, err
-	}
-	var cp Checkpoint
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		return nil, err
-	}
-	return &cp, nil
-}
-
-// Resume returns the latest checkpoint for the given recipe fingerprint,
-// or ok=false when none is applicable.
-func (m *CheckpointManager) Resume(recipeFP string) (opIndex int, d *dataset.Dataset, ok bool, err error) {
-	cp, err := m.load()
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil, false, nil
-		}
-		return 0, nil, false, err
-	}
-	if cp.RecipeFingerprint != recipeFP {
-		return 0, nil, false, nil
-	}
-	raw, err := os.ReadFile(filepath.Join(m.dir, cp.DataFile))
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("cache: checkpoint payload: %w", err)
-	}
-	dec, err := m.codec.Decode(raw)
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("cache: checkpoint decode: %w", err)
-	}
-	ds, err := dataset.ReadJSONL(bytes.NewReader(dec))
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("cache: checkpoint parse: %w", err)
-	}
-	return cp.OpIndex, ds, true, nil
-}
-
-// Clear removes all checkpoint state (called after a successful run).
-func (m *CheckpointManager) Clear() error {
-	entries, err := os.ReadDir(m.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		os.Remove(filepath.Join(m.dir, e.Name()))
-	}
-	return nil
 }

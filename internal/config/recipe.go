@@ -43,7 +43,9 @@ type Recipe struct {
 	TextKey string
 	// UseCache enables the per-OP dataset cache.
 	UseCache bool
-	// UseCheckpoint enables crash-recovery checkpoints.
+	// UseCheckpoint enables crash-recovery checkpoints: op-chain entries
+	// written durably; with UseCache off, only each chain's newest state
+	// is kept, until the run succeeds.
 	UseCheckpoint bool
 	// CacheCompression selects the cache codec: "", "gzip", "flate", "lzj".
 	CacheCompression string

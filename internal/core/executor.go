@@ -24,16 +24,17 @@ type OpStat = stream.OpStat
 
 // Report summarizes one pipeline run.
 type Report struct {
-	// OpStats holds the executed ops in plan order: ops skipped by a
-	// checkpoint resume are left out.
-	OpStats  []OpStat
-	Total    time.Duration
+	// OpStats holds every planned op in plan order; ops covered by
+	// resumed state (the cache or a checkpoint) are cache hits.
+	OpStats []OpStat
+	Total   time.Duration
+	// Resumed reports that the run started from persisted state.
 	Resumed  bool
 	PlanSize int
 }
 
-// InCount returns the sample count entering the first executed operator
-// (0 when every op was skipped, e.g. a fully resumed run).
+// InCount returns the sample count entering the first operator (0 for
+// an empty plan).
 func (r *Report) InCount() int {
 	if len(r.OpStats) == 0 {
 		return 0
@@ -85,9 +86,9 @@ func (e *Executor) Run(d *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 		return nil, nil, err
 	}
 	return sink.Dataset(), &Report{
-		OpStats:  rep.OpStats[rep.ResumedOps:],
+		OpStats:  rep.OpStats,
 		Total:    rep.Total,
-		Resumed:  rep.ResumedOps > 0,
+		Resumed:  len(rep.OpStats) > 0 && rep.OpStats[0].CacheHit,
 		PlanSize: rep.PlanSize,
 	}, nil
 }

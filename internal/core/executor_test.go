@@ -15,6 +15,7 @@ import (
 	"repro/internal/ops"
 	_ "repro/internal/ops/all"
 	"repro/internal/sample"
+	"repro/internal/telemetry"
 )
 
 func testRecipe(t *testing.T, yaml string) *config.Recipe {
@@ -336,10 +337,13 @@ process:
 	if !rep.Resumed {
 		t.Fatal("second run should resume from checkpoint")
 	}
-	// Resume skipped the already-completed mapper: only the remaining ops
-	// appear in the report.
-	if len(rep.OpStats) != 2 {
-		t.Fatalf("resumed run executed %d ops, want 2", len(rep.OpStats))
+	// Resume skipped the already-completed mapper: it is reported as a
+	// cache hit, and only the remaining ops executed.
+	if len(rep.OpStats) != 3 || !rep.OpStats[0].CacheHit || rep.OpStats[1].CacheHit || rep.OpStats[2].CacheHit {
+		t.Fatalf("resumed run report %+v, want the mapper resumed and 2 ops executed", rep.OpStats)
+	}
+	if rep.InCount() != 6 {
+		t.Fatalf("InCount = %d, want the 6 input samples", rep.InCount())
 	}
 	if out.Len() != 6 {
 		t.Fatalf("survivors = %d", out.Len())
@@ -347,7 +351,8 @@ process:
 }
 
 func TestExecutorCheckpointForeignRecipeIgnored(t *testing.T) {
-	// A checkpoint from one recipe must not be resumed by another.
+	// Another recipe resumes a checkpoint only as far as the two share
+	// their leading ops: a checkpoint names the ops that produced it.
 	yaml := `
 project_name: ckpt-a
 use_cache: false
@@ -365,7 +370,13 @@ process:
 		t.Fatal("expected failure")
 	}
 
-	r2 := testRecipe(t, strings.Replace(yaml, "ckpt-a", "ckpt-b", 1)+"  - lowercase_mapper:\n")
+	yamlB := strings.Replace(yaml, "ckpt-a", "ckpt-b", 1) + "  - lowercase_mapper:\n"
+	cleanExec, _ := NewExecutor(testRecipe(t, yamlB))
+	clean, _, err := cleanExec.Run(ds.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := testRecipe(t, yamlB)
 	r2.WorkDir = r.WorkDir
 	e2, err := NewExecutor(r2)
 	if err != nil {
@@ -375,11 +386,11 @@ process:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Resumed {
-		t.Fatal("foreign recipe resumed another recipe's checkpoint")
+	if !rep.OpStats[0].CacheHit || rep.OpStats[1].CacheHit || rep.OpStats[2].CacheHit {
+		t.Fatalf("report %+v, want only the shared mapper resumed", rep.OpStats)
 	}
-	if out.Len() != 2 {
-		t.Fatalf("survivors = %d", out.Len())
+	if out.Fingerprint() != clean.Fingerprint() {
+		t.Fatal("resumed export differs from a clean run")
 	}
 }
 
@@ -420,21 +431,40 @@ process:
 	if _, _, err := e.Run(ds.Clone()); err == nil {
 		t.Fatal("expected injected failure")
 	}
-	states, _ := filepath.Glob(filepath.Join(r.WorkDir, "checkpoint", "state-*"))
+	states, _ := filepath.Glob(filepath.Join(r.WorkDir, "checkpoint", "*.cache.*"))
 	if len(states) != 1 {
-		t.Fatalf("failed run left %d checkpoint payloads, want 1", len(states))
+		t.Fatalf("failed run left %d checkpoint entries, want 1", len(states))
 	}
 	if err := os.Truncate(states[0], 10); err != nil {
 		t.Fatal(err)
 	}
 
 	e2, _ := NewExecutor(r)
+	var journal bytes.Buffer
+	tele, err := telemetry.NewRun(telemetry.RunOptions{JournalWriter: &journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2.EnableTelemetry(tele)
 	out, rep, err := e2.Run(ds.Clone())
 	if err != nil {
 		t.Fatalf("rerun over a corrupt checkpoint failed: %v", err)
 	}
 	if rep.Resumed {
 		t.Fatal("rerun resumed a corrupt checkpoint")
+	}
+	events, err := telemetry.DecodeJournal(journal.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corrupt []telemetry.Event
+	for _, e := range events {
+		if e.Type == telemetry.EvPersistCorrupt {
+			corrupt = append(corrupt, e)
+		}
+	}
+	if len(corrupt) != 1 || corrupt[0].Kind != "checkpoint" || corrupt[0].Path != states[0] {
+		t.Fatalf("persist_corrupt events %+v, want one for %s", corrupt, states[0])
 	}
 	if got, want := jsonl(out), jsonl(clean); got != want {
 		t.Fatalf("rerun export differs from a clean run:\n%s\nwant:\n%s", got, want)

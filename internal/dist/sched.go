@@ -2,7 +2,6 @@ package dist
 
 import (
 	"errors"
-	"sort"
 	"sync"
 )
 
@@ -204,39 +203,6 @@ func (r RunStats) clone() RunStats {
 	out := r
 	out.Workers = append([]WorkerRunStat(nil), r.Workers...)
 	return out
-}
-
-// Merge folds another run's stats into this one, matching workers by
-// ID. Merging is associative and commutative so partial reports can be
-// combined in any order.
-func (r *RunStats) Merge(o RunStats) {
-	byID := map[int]int{}
-	for i, w := range r.Workers {
-		byID[w.Worker] = i
-	}
-	for _, w := range o.Workers {
-		if i, ok := byID[w.Worker]; ok {
-			r.Workers[i].Stages += w.Stages
-			r.Workers[i].Steals += w.Steals
-			r.Workers[i].Retries += w.Retries
-			r.Workers[i].DeltaStages += w.DeltaStages
-			r.Workers[i].BytesSent += w.BytesSent
-			r.Workers[i].BytesRecv += w.BytesRecv
-			r.Workers[i].Dead = r.Workers[i].Dead || w.Dead
-			if r.Workers[i].Addr == "" {
-				r.Workers[i].Addr = w.Addr
-			}
-		} else {
-			r.Workers = append(r.Workers, w)
-		}
-	}
-	sort.Slice(r.Workers, func(i, j int) bool { return r.Workers[i].Worker < r.Workers[j].Worker })
-	r.Retries += o.Retries
-	r.Steals += o.Steals
-	r.Fallbacks += o.Fallbacks
-	r.DeltaStages += o.DeltaStages
-	r.BytesSent += o.BytesSent
-	r.BytesRecv += o.BytesRecv
 }
 
 // Statser is implemented by stage dispatchers that track distributed

@@ -95,38 +95,3 @@ func TestSchedulerDeadWorkerRerouting(t *testing.T) {
 		t.Errorf("live list not empty: %v", s.Live())
 	}
 }
-
-// TestRunStatsMergeAssociative pins that merging partial stats is
-// order-independent: (a+b)+c == a+(b+c).
-func TestRunStatsMergeAssociative(t *testing.T) {
-	mk := func() (a, b, c RunStats) {
-		a = RunStats{Workers: []WorkerRunStat{{Worker: 1, Addr: "x", Stages: 2}}, Retries: 1}
-		b = RunStats{Workers: []WorkerRunStat{{Worker: 2, Stages: 3, Steals: 1}, {Worker: 1, Retries: 1, Dead: true}}, Steals: 1, Retries: 1}
-		c = RunStats{Workers: []WorkerRunStat{{Worker: 3, Stages: 1}}, Fallbacks: 2}
-		return
-	}
-	a1, b1, c1 := mk()
-	left := a1.clone()
-	left.Merge(b1)
-	left.Merge(c1)
-	a2, b2, c2 := mk()
-	bc := b2.clone()
-	bc.Merge(c2)
-	right := a2.clone()
-	right.Merge(bc)
-	if len(left.Workers) != 3 || len(right.Workers) != 3 {
-		t.Fatalf("merge lost workers: %+v / %+v", left.Workers, right.Workers)
-	}
-	for i := range left.Workers {
-		if left.Workers[i] != right.Workers[i] {
-			t.Errorf("worker %d differs by merge order: %+v vs %+v",
-				i, left.Workers[i], right.Workers[i])
-		}
-	}
-	if left.Retries != right.Retries || left.Steals != right.Steals || left.Fallbacks != right.Fallbacks {
-		t.Errorf("totals differ by merge order: %+v vs %+v", left, right)
-	}
-	if left.Workers[0].Stages != 2 || !left.Workers[0].Dead || left.Retries != 2 {
-		t.Errorf("merged content wrong: %+v", left)
-	}
-}

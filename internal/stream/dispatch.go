@@ -31,79 +31,23 @@ type MemberFlusher interface {
 	FinishMembers() []dist.MemberFlow
 }
 
-// runLocalDispatch is the distributed counterpart of runLocal: resume
-// what the shard cache already holds, ship the remaining op suffix to a
-// worker, and degrade to in-process execution only when the fleet is
-// dead. The cache discipline differs from the local path in one way —
-// a dispatched stage stores only its final result (under the fully
-// folded chain key), since intermediate datasets never return from the
-// worker. Resume therefore checks the exact per-op prefix first (local
-// runs stored those) and the stage-final key second.
-func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool, shardIdx int, shardSpan int64) (*dataset.Dataset, bool, error) {
+// dispatchStage ships ops [from, len) of a shard-local run to a worker
+// and degrades to in-process execution only when the fleet is dead. It
+// persists only the stage's final state along chain c, since
+// intermediate datasets never return from the worker; resume walks back
+// to whichever state exists.
+func (p *phaseRun) dispatchStage(st stage, d *dataset.Dataset, from int, c *opChain, shardIdx int, shardSpan int64) (*dataset.Dataset, error) {
 	e := p.eng
 	n := len(st.ops)
-	var c *opChain
-	k := 0
-	hits := 0
-	if useCache {
-		c = p.shardChain(st, d)
-		// Exact per-op prefix resume (entries written by local runs or
-		// in-process fallbacks).
-		for k < n {
-			if p.aborted() {
-				return nil, false, errAborted
-			}
-			opStart := time.Now()
-			inCount := d.Len()
-			cached, ok, err := c.get(k)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			d = cached
-			hits++
-			e.cacheHit(p.agg, st.ops[k], st.planIdx[k], p.phase, shardIdx, shardSpan, inCount, d.Len(), time.Since(opStart))
-			k++
-		}
-		if k == n {
-			return d, hits > 0, nil
-		}
-		// Stage-final resume (entry written by a previous dispatched
-		// run). Intermediate flows are unknown; attribute the suffix as
-		// cache hits carrying the known entry and exit counts.
-		if k < n-1 {
-			cached, ok, err := c.get(n - 1)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				in := d.Len()
-				for i := k; i < n; i++ {
-					e.cacheHit(p.agg, st.ops[i], st.planIdx[i], p.phase, shardIdx, shardSpan, in, cached.Len(), 0)
-					in = cached.Len()
-				}
-				return cached, true, nil
-			}
-		}
+	out, flows, workerID, err := e.dispatch.RunStage(shardIdx, st.planIdx[from], st.planIdx[n-1]+1, d)
+	if errors.Is(err, dist.ErrNoWorkers) {
+		// The fleet is dead: finish this stage in-process from where the
+		// resumed state left off — same ops, same order, same chain, so
+		// the export stays byte-identical.
+		return p.runLocalFrom(st, d, from, c, 1, shardIdx, shardSpan)
 	}
-
-	fromOp, toOp := st.planIdx[k], st.planIdx[n-1]+1
-	out, flows, workerID, err := e.dispatch.RunStage(shardIdx, fromOp, toOp, d)
 	if err != nil {
-		if errors.Is(err, dist.ErrNoWorkers) {
-			// The fleet is dead: finish this stage in-process from where
-			// the cached prefix left off — same ops, same order, same
-			// cache discipline, so the export stays byte-identical.
-			d2, h2, err := p.runLocalFrom(st, d, k, c, 1, shardIdx, shardSpan)
-			if err != nil {
-				return nil, false, err
-			}
-			hits += h2
-			return d2, hits == n && hits > 0, nil
-		}
-		return nil, false, err
+		return nil, err
 	}
 	for _, f := range flows {
 		li := f.PlanIdx - st.planIdx[0]
@@ -121,9 +65,9 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 		}
 	}
 	if err := c.put(n-1, out); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return out, false, nil
+	return out, nil
 }
 
 // mergeMemberFlows folds the fleet's fused-member attribution into the

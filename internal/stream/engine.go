@@ -7,9 +7,7 @@
 // Batch execution (internal/core) is this engine over one in-memory
 // shard. A DatasetSource holding its whole dataset as a single shard
 // runs one phase whose shard goes through every plan op — deduplicators
-// included, since one shard holds every sample — with np workers, and
-// the boundaries between ops carry the chain cache and the checkpoints
-// of the source paper's Sec. 4.1.1.
+// included, since one shard holds every sample — with np workers.
 //
 // The engine executes the physical plan built by the unified planner
 // (internal/plan): execution order, fusion groups, and capability
@@ -25,10 +23,16 @@
 // the engine drains the stream, merges the shards in order, applies the
 // op, and re-shards.
 //
-// With the recipe's cache enabled, every shard's leading run of
-// shard-local ops is cached per (shard content, op chain) key via
-// internal/cache, so an interrupted run resumes at shard granularity;
-// a single-shard run caches every op of its chain instead.
+// Persisted state (the cache and checkpoints of the source paper's
+// Sec. 4.1.1) is one mechanism: an op chain. Every shard's leading run
+// of shard-local ops — every op, for a single-shard run — persists the
+// state after each op under a key folded from the shard's content
+// through each op's identity, and one resume walk serves every stage
+// kind: back from the chain's last key to the newest state on disk,
+// which alone is loaded and verified. With use_cache every state is
+// kept; with use_checkpoint and the cache off only each chain's newest
+// state is, written durably, and a successful run clears them. Either
+// way an interrupted run resumes shard by shard.
 //
 // The schedule is fixed for the whole run: np workers, ShardSize samples
 // per shard, and at most MaxInFlight shards resident at once. When the
@@ -37,9 +41,9 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"log"
 	"path/filepath"
 	"sync"
 	"time"
@@ -170,7 +174,7 @@ func splitPhases(p *plan.Plan) []phase {
 // wholePhases is the single-shard shape of the plan: one phase whose one
 // stage applies every op, in plan order, to the whole dataset.
 func wholePhases(p *plan.Plan) []phase {
-	st := stage{kind: stageLocal}
+	st := stage{kind: stageLocal, cacheable: true}
 	for i := range p.Nodes {
 		st.ops = append(st.ops, p.Nodes[i].Op)
 		st.planIdx = append(st.planIdx, i)
@@ -277,30 +281,18 @@ func (e *Engine) Tracer() *trace.Tracer { return e.runner.Tracer() }
 //
 // A DatasetSource holding its whole dataset as one shard runs in the
 // single-shard shape: one phase whose shard goes through every op with
-// np workers, the recipe's cache chains across every op under
-// <work_dir>/cache, and a checkpoint saved at each op boundary lets a
-// failed run resume. Otherwise the shard cache lives under
-// <work_dir>/stream-cache.
+// np workers along one op chain over the whole plan.
 func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 	start := time.Now()
 	agg := newAggregator(e.plan)
 	var totalIn, totalOut, sourceShards int
 
-	phases, shardSize := e.phases, e.shardSize
-	var whole *opChain // the single-shard run's op chain
-	var store *cache.Store
-	var err error
+	phases, shardSize, single := e.phases, e.shardSize, false
 	if d := singleShard(src); d != nil {
-		phases, shardSize = wholePhases(e.plan), max(d.Len(), 1)
+		phases, shardSize, single = wholePhases(e.plan), max(d.Len(), 1), true
 		e.tele.SetInputTotal(d.Len())
-		var saved *dataset.Dataset
-		if whole, saved, err = e.openChain(d, phases[0].stages[0].ops); saved != nil {
-			src.Close()
-			src, _ = NewDatasetSource(saved, max(saved.Len(), 1))
-		}
-	} else if e.recipe.UseCache {
-		store, err = cache.NewStore(filepath.Join(e.recipe.WorkDir, "stream-cache"), e.recipe.CacheCompression)
 	}
+	store, err := e.openStore(single)
 	if err != nil {
 		src.Close()
 		return nil, err
@@ -342,7 +334,7 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 			collected = append(collected, d)
 			return nil
 		}
-		in, shards, err := e.runPhase(pi, phaseSpan, cur, ph.stages, agg, store, whole, emit)
+		in, shards, err := e.runPhase(pi, phaseSpan, cur, ph.stages, agg, store, single, emit)
 		cur.Close()
 		if err != nil {
 			return nil, err
@@ -377,7 +369,7 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 		}
 		// A single-shard run's phase lasts as long as its one shard,
 		// whose span_end already records that; the journal keeps one.
-		if e.tele != nil && whole == nil {
+		if e.tele != nil && !single {
 			e.tele.Emit(telemetry.Event{
 				Type: telemetry.EvSpanEnd, Span: phaseSpan, Parent: e.tele.RunSpan(),
 				Kind: "phase", Phase: pi, DurNS: int64(time.Since(phaseStart)),
@@ -388,11 +380,8 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 		return nil, err
 	}
 	rep := agg.finish(sourceShards, totalIn, totalOut, time.Since(start))
-	if whole != nil {
-		if whole.ckpt != nil {
-			_ = whole.ckpt.Clear()
-		}
-		rep.ResumedOps = whole.from
+	if store != nil && store.kind == "checkpoint" {
+		_ = store.Clear()
 	}
 	// Attribute fused ops to their members (cumulative across executed
 	// shards — counters never tick on cache hits) and fold the run's
@@ -426,91 +415,154 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 	return rep, nil
 }
 
-// opChain is the cache chain of a run of ops over one shard. keys[i] is
-// the cache key of the state after the run's first i ops, folded from
-// key_0 through each op's identity. A single-shard run's chain spans the
-// whole plan with key_0 from the input content alone, so editing the
-// recipe tail reuses the whole cached prefix; its last key names the
-// input plus the whole plan, which is what a checkpoint must match.
+// chainStore is where a run's op chains persist their states. The cache
+// keeps every state; the checkpoint store (use_checkpoint with the cache
+// off) keeps only each chain's newest one, so peak disk stays near the
+// 3S of Appendix A.2.
+type chainStore struct {
+	*cache.Store
+	kind string // "cache" or "checkpoint"
+}
+
+// openStore opens where this run's op chains persist (nil: nowhere).
+// The cache lives under <work_dir>/cache for a single-shard run, whose
+// chain spans the whole plan, and under <work_dir>/stream-cache for
+// the shard chains of a multi-shard run; checkpoints of either shape
+// live under <work_dir>/checkpoint. use_checkpoint makes every write
+// durable.
+func (e *Engine) openStore(single bool) (*chainStore, error) {
+	r := e.recipe
+	var dir string
+	switch {
+	case r.UseCache && single:
+		dir = "cache"
+	case r.UseCache:
+		dir = "stream-cache"
+	case r.UseCheckpoint:
+		dir = "checkpoint"
+	default:
+		return nil, nil
+	}
+	st, err := cache.NewStore(filepath.Join(r.WorkDir, dir), r.CacheCompression)
+	if err != nil {
+		return nil, err
+	}
+	st.SetDurable(r.UseCheckpoint)
+	kind := "cache"
+	if !r.UseCache {
+		kind = "checkpoint"
+	}
+	return &chainStore{Store: st, kind: kind}, nil
+}
+
+// opChain is the persisted-state chain of a run of ops over one shard.
+// keys[i] names the state after the run's first i ops, folded from key_0
+// through each op's identity, so an entry stands for exactly the ops
+// that produced it — in this recipe and in any other sharing them.
 type opChain struct {
 	keys  []string
-	store *cache.Store             // nil: no cache
-	ckpt  *cache.CheckpointManager // single-shard runs with use_checkpoint only
-	from  int                      // leading ops a resumed checkpoint already applied
+	store *chainStore
+	held  int // keys index of the newest state this chain holds (0: none)
 }
 
-// newChain folds the identities of a run of ops onto key0.
-func (e *Engine) newChain(key0 string, run []ops.OP, store *cache.Store) *opChain {
-	keys := make([]string, 1, len(run)+1)
-	keys[0] = key0
-	for i, op := range run {
-		keys = append(keys, e.runner.OpCacheKey(keys[i], op))
+// chain builds the op chain of one shard through a run of ops, with
+// key_0 from the shard's content alone. A single-shard run's chain
+// spans the whole plan, so editing the recipe tail reuses its whole
+// persisted prefix.
+func (p *phaseRun) chain(st stage, d *dataset.Dataset) *opChain {
+	label := "stream-shard"
+	if p.single {
+		label = "dataset"
 	}
-	return &opChain{keys: keys, store: store}
+	keys := make([]string, 1, len(st.ops)+1)
+	keys[0] = cache.Key(d.Fingerprint(), label, nil)
+	for i, op := range st.ops {
+		keys = append(keys, p.eng.runner.OpCacheKey(keys[i], op))
+	}
+	return &opChain{keys: keys, store: p.store}
 }
 
-// openChain prepares the op chain of a single-shard run of run over d:
-// the cache under <work_dir>/cache and, with checkpoints on, the state
-// to resume from. An unreadable checkpoint counts as none: it is
-// deleted with a warning and the run starts cold rather than failing
-// every rerun.
-func (e *Engine) openChain(d *dataset.Dataset, run []ops.OP) (*opChain, *dataset.Dataset, error) {
-	r := e.recipe
-	if !r.UseCache && !r.UseCheckpoint {
-		return &opChain{}, nil, nil
-	}
-	var store *cache.Store
-	if r.UseCache {
-		var err error
-		if store, err = cache.NewStore(filepath.Join(r.WorkDir, "cache"), r.CacheCompression); err != nil {
-			return nil, nil, err
-		}
-	}
-	c := e.newChain(cache.Key(d.Fingerprint(), "dataset", nil), run, store)
-	if !r.UseCheckpoint {
-		return c, nil, nil
-	}
-	ckpt, err := cache.NewCheckpointManager(filepath.Join(r.WorkDir, "checkpoint"), r.CacheCompression)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.ckpt = ckpt
-	from, saved, _, err := ckpt.Resume(c.keys[len(c.keys)-1])
-	if err == nil && (from < 0 || from > len(run)) {
-		err = fmt.Errorf("checkpoint after op %d of a %d-op run", from, len(run))
-	}
-	if err != nil {
-		log.Printf("stream: deleting unreadable checkpoint, running cold: %v", err)
-		_ = ckpt.Clear()
-		return c, nil, nil
-	}
-	c.from = from
-	return c, saved, nil
-}
-
-// get returns the cached state after op i of the run, if any.
-func (c *opChain) get(i int) (*dataset.Dataset, bool, error) {
-	if c == nil || c.store == nil {
-		return nil, false, nil
-	}
-	return c.store.Get(c.keys[i+1])
-}
-
-// put records the state after op i of the run in the cache and, for a
-// single-shard run, as its checkpoint.
+// put persists the state after op i of the run. In the checkpoint store
+// the chain's previous state is deleted only once the new one is on
+// disk, so a recovery point always exists.
 func (c *opChain) put(i int, d *dataset.Dataset) error {
 	if c == nil {
 		return nil
 	}
-	if c.store != nil {
-		if err := c.store.Put(c.keys[i+1], d); err != nil {
+	if err := c.store.Put(c.keys[i+1], d); err != nil {
+		return err
+	}
+	if c.store.kind == "checkpoint" && c.held > 0 {
+		if err := c.store.Delete(c.keys[c.held]); err != nil {
 			return err
 		}
 	}
-	if c.ckpt != nil {
-		return c.ckpt.Save(c.keys[len(c.keys)-1], i+1, d)
-	}
+	c.held = i + 1
 	return nil
+}
+
+// resume finds where a shard's run of ops starts along chain c (nil: at
+// op 0). It walks back from the chain's last key to the newest state on
+// disk, loading and verifying only that one, and records each op the
+// state covers as a cache hit; their counts come from the entry headers
+// alone, and ops without an entry carry the resumed count. An entry
+// that fails verification is reported, already deleted, and passed
+// over. It returns the number of ops covered and the state after them.
+func (p *phaseRun) resume(c *opChain, st stage, d *dataset.Dataset, shardIdx int, shardSpan int64) (int, *dataset.Dataset, error) {
+	if c == nil {
+		return 0, d, nil
+	}
+	start := time.Now()
+	var saved *dataset.Dataset
+	k := len(st.ops)
+	for ; k > 0; k-- {
+		if p.aborted() {
+			return 0, nil, errAborted
+		}
+		got, ok, err := c.store.Get(c.keys[k])
+		var corrupt *cache.CorruptError
+		if errors.As(err, &corrupt) {
+			p.eng.persistCorrupt(c.store.kind, corrupt)
+			continue
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		if ok {
+			saved = got
+			break
+		}
+	}
+	if saved == nil {
+		return 0, d, nil
+	}
+	c.held = k
+	in := d.Len()
+	for i := 0; i < k; i++ {
+		out, dur := saved.Len(), time.Duration(0)
+		if i == k-1 {
+			dur = time.Since(start)
+		} else if n, ok := c.store.Count(c.keys[i+1]); ok {
+			out = n
+		}
+		p.eng.cacheHit(p.agg, st.ops[i], st.planIdx[i], p.phase, shardIdx, shardSpan, in, out, dur)
+		in = out
+	}
+	return k, saved, nil
+}
+
+// persistCorrupt records a persisted entry that failed verification and
+// was deleted: one persist_corrupt journal event and the
+// dj_persist_corrupt_total counter. The run recomputes the state.
+func (e *Engine) persistCorrupt(kind string, c *cache.CorruptError) {
+	if e.tele == nil {
+		return
+	}
+	e.tele.ObservePersistCorrupt(kind)
+	e.tele.Emit(telemetry.Event{
+		Type: telemetry.EvPersistCorrupt, Parent: e.tele.RunSpan(),
+		Kind: kind, Path: c.Path, Why: c.Reason,
+	})
 }
 
 // cacheHit records plan op idx answered from the cache: the report
@@ -538,8 +590,8 @@ type phaseRun struct {
 	phase   int
 	span    int64 // the phase's journal span (0 without telemetry)
 	stages  []stage
-	store   *cache.Store       // the shard cache (nil when off)
-	whole   *opChain           // the single-shard run's op chain (nil for multi-shard runs)
+	store   *chainStore        // where op chains persist (nil: nowhere)
+	single  bool               // the single-shard shape: one chain over the whole plan
 	indexes map[int]*partIndex // stage index -> partitioned signature index
 	agg     *aggregator
 	gate    *gate
@@ -637,10 +689,10 @@ func (g *gate) close() {
 // hands the results to emit in shard order. It returns the total samples
 // and shards read from src.
 func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []stage, agg *aggregator,
-	store *cache.Store, whole *opChain, emit func(*dataset.Dataset) error) (inCount, shardCount int, err error) {
+	store *chainStore, single bool, emit func(*dataset.Dataset) error) (inCount, shardCount int, err error) {
 
 	p := &phaseRun{
-		eng: e, phase: phaseIdx, span: phaseSpan, stages: stages, agg: agg, store: store, whole: whole,
+		eng: e, phase: phaseIdx, span: phaseSpan, stages: stages, agg: agg, store: store, single: single,
 		indexes: map[int]*partIndex{},
 		abort:   make(chan struct{}),
 		gate:    newGate(e.maxInFlight),
@@ -805,17 +857,12 @@ func (p *phaseRun) processShard(sh *Shard) error {
 		var err error
 		switch st.kind {
 		case stageLocal:
-			// Only planner-annotated runs see the shard cache: their
+			// Only planner-annotated runs persist their states: their
 			// results are pure functions of the shard's content, while
 			// runs behind a shared-index stage depend on other shards'
 			// signatures (see the plan's cache-boundary pass).
 			var hit bool
-			useCache := st.cacheable && p.store != nil
-			if e.dispatch != nil && p.whole == nil {
-				d, hit, err = p.runLocalDispatch(st, d, useCache, sh.Index, shardSpan)
-			} else {
-				d, hit, err = p.runLocal(st, d, useCache, sh.Index, shardSpan)
-			}
+			d, hit, err = p.runLocal(st, d, st.cacheable && p.store != nil, sh.Index, shardSpan)
 			resumed = resumed || hit
 		case stageIndex:
 			d, err = p.runIndex(si, st, sh.Index, d, shardSpan)
@@ -841,61 +888,53 @@ func (p *phaseRun) processShard(sh *Shard) error {
 	return nil
 }
 
-// runLocal applies one run of ops to a shard. A single-shard run applies
-// every plan op with np workers along its op chain; otherwise the
-// shard-local ops run serially, with a per-shard chain cache when
-// useCache is set.
-func (p *phaseRun) runLocal(st stage, d *dataset.Dataset, useCache bool, shardIdx int, shardSpan int64) (*dataset.Dataset, bool, error) {
-	c, from, np := p.whole, 0, 1
-	if c != nil {
-		from, np = c.from, p.eng.recipe.NP
-	} else if useCache {
-		c = p.shardChain(st, d)
+// runLocal applies one run of ops to a shard, first resuming from the
+// newest state its op chain holds when persist is set. A single-shard
+// run applies every plan op with np workers; otherwise the shard-local
+// ops run serially, or on a worker of the fleet when the engine
+// dispatches. It reports whether the whole run was resumed.
+func (p *phaseRun) runLocal(st stage, d *dataset.Dataset, persist bool, shardIdx int, shardSpan int64) (*dataset.Dataset, bool, error) {
+	var c *opChain
+	if persist {
+		c = p.chain(st, d)
 	}
-	out, hits, err := p.runLocalFrom(st, d, from, c, np, shardIdx, shardSpan)
+	from, d, err := p.resume(c, st, d, shardIdx, shardSpan)
 	if err != nil {
 		return nil, false, err
 	}
-	return out, hits == len(st.ops) && hits > 0, nil
+	switch {
+	case from == len(st.ops):
+		return d, from > 0, nil
+	case p.single:
+		d, err = p.runLocalFrom(st, d, from, c, p.eng.recipe.NP, shardIdx, shardSpan)
+	case p.eng.dispatch != nil:
+		d, err = p.dispatchStage(st, d, from, c, shardIdx, shardSpan)
+	default:
+		d, err = p.runLocalFrom(st, d, from, c, 1, shardIdx, shardSpan)
+	}
+	return d, false, err
 }
 
-// shardChain is the cache chain of a shard through one run of
-// shard-local ops, with key_0 from the shard's content alone.
-func (p *phaseRun) shardChain(st stage, d *dataset.Dataset) *opChain {
-	return p.eng.newChain(cache.Key(d.Fingerprint(), "stream-shard", nil), st.ops, p.store)
-}
-
-// runLocalFrom is runLocal starting at op index `from` of the run along
-// chain c (nil: no cache), applying each op with np workers. It is also
-// the in-process fallback entry point for a dispatched stage whose
-// cached prefix was consumed before the fleet died. It returns the
-// cache hits seen from `from` onward.
-func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, c *opChain, np, shardIdx int, shardSpan int64) (*dataset.Dataset, int, error) {
+// runLocalFrom applies ops [from, len) of a run to d with np workers
+// each, persisting every state along chain c (nil: none). It is also
+// the in-process fallback of a dispatched stage whose fleet died.
+func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, c *opChain, np, shardIdx int, shardSpan int64) (*dataset.Dataset, error) {
 	e := p.eng
 	workers := dataset.Workers(np)
-	hits := 0
 	for i := from; i < len(st.ops); i++ {
 		op := st.ops[i]
 		if p.aborted() {
-			return nil, 0, errAborted
+			return nil, errAborted
 		}
 		opStart := time.Now()
 		inCount := d.Len()
-		if cached, ok, err := c.get(i); err != nil {
-			return nil, 0, err
-		} else if ok {
-			d = cached
-			hits++
-			e.cacheHit(p.agg, op, st.planIdx[i], p.phase, shardIdx, shardSpan, inCount, d.Len(), time.Since(opStart))
-			continue
-		}
 		out, err := e.runner.ApplyOp(op, d, np)
 		if err != nil {
-			return nil, 0, fmt.Errorf("stream: op %d (%s): %w", st.planIdx[i], op.Name(), err)
+			return nil, fmt.Errorf("stream: op %d (%s): %w", st.planIdx[i], op.Name(), err)
 		}
 		d = out
 		if err := c.put(i, d); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		opDur := time.Since(opStart)
 		p.agg.addOp(st.planIdx[i], inCount, d.Len(), opDur, opDur, false, workers, workers)
@@ -910,7 +949,7 @@ func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, c *opCha
 			emitSpill(e.tele, op, st.planIdx[i])
 		}
 	}
-	return d, hits, nil
+	return d, nil
 }
 
 // runIndex passes one shard through a shared-signature dedup stage:

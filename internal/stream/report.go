@@ -44,7 +44,8 @@ type ShardStat struct {
 	// Duration is the shard's processing wall time in this phase.
 	Duration time.Duration
 	// CacheHit reports that the shard's leading operator run was resumed
-	// from the shard cache instead of recomputed.
+	// from persisted state (the cache or a checkpoint) instead of
+	// recomputed.
 	CacheHit bool
 }
 
@@ -54,7 +55,7 @@ type Report struct {
 	// OpStats holds one aggregated entry per planned op, in plan order.
 	// InCount/OutCount sum over shards; Duration sums shard processing
 	// time (CPU time, not wall time); CacheHit is set when every shard's
-	// result for the op came from the shard cache.
+	// result for the op came from persisted state.
 	OpStats []OpStat
 	// Shards holds the per-shard, per-phase statistics.
 	Shards []ShardStat
@@ -62,67 +63,15 @@ type Report struct {
 	ShardCount int
 	// InCount / OutCount are the total samples read and emitted.
 	InCount, OutCount int
-	// ResumedShards counts shard runs satisfied by the shard cache.
+	// ResumedShards counts shard runs resumed whole from persisted
+	// state (the cache or checkpoints).
 	ResumedShards int
-	// ResumedOps counts the leading plan ops a single-shard run skipped
-	// by resuming a checkpoint; their OpStats entries stay empty.
-	ResumedOps int
 	// PlanSize is the number of planned ops.
 	PlanSize int
 	// Total is the end-to-end wall time.
 	Total time.Duration
 	// Dist is the worker fleet's statistics (nil for in-process runs).
 	Dist *dist.RunStats
-}
-
-// Merge folds another report into this one. Merging is associative and
-// commutative in every aggregate — counts and durations sum, per-op
-// entries match by plan index and fused members by name, Total takes
-// the max (partial reports describe overlapping wall time), ShardCount
-// and ResumedShards sum, and Dist merges through dist.RunStats.Merge.
-// The receiver owns all merged state afterwards; o is not mutated.
-func (r *Report) Merge(o *Report) {
-	if o == nil {
-		return
-	}
-	if len(r.OpStats) < len(o.OpStats) {
-		grown := make([]OpStat, len(o.OpStats))
-		copy(grown, r.OpStats)
-		r.OpStats = grown
-		r.PlanSize = o.PlanSize
-	}
-	for i := range o.OpStats {
-		os := &o.OpStats[i]
-		rs := &r.OpStats[i]
-		if rs.Name == "" {
-			rs.Name = os.Name
-			rs.PlanIndex = os.PlanIndex
-			rs.CacheHit = os.CacheHit
-		} else {
-			rs.CacheHit = rs.CacheHit && os.CacheHit
-		}
-		rs.InCount += os.InCount
-		rs.OutCount += os.OutCount
-		rs.Duration += os.Duration
-		if os.Workers > rs.Workers {
-			rs.Workers = os.Workers
-		}
-		rs.Members = mergeMembers(rs.Members, os.Members)
-	}
-	r.Shards = append(r.Shards, o.Shards...)
-	r.ShardCount += o.ShardCount
-	r.InCount += o.InCount
-	r.OutCount += o.OutCount
-	r.ResumedShards += o.ResumedShards
-	if o.Total > r.Total {
-		r.Total = o.Total
-	}
-	if o.Dist != nil {
-		if r.Dist == nil {
-			r.Dist = &dist.RunStats{}
-		}
-		r.Dist.Merge(*o.Dist)
-	}
 }
 
 // mergeMembers sums fused-member attribution by name without mutating

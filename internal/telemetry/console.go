@@ -37,6 +37,8 @@ func Console(w io.Writer) func(Event) {
 			if e.Phase > 0 {
 				fmt.Fprintf(w, "phase %d: %s\n", e.Phase, e.Name)
 			}
+		case EvPersistCorrupt:
+			fmt.Fprintf(w, "discarded corrupt %s entry %s (%s); recomputing\n", e.Kind, e.Path, e.Why)
 		case EvExport:
 			fmt.Fprintf(w, "exported to %s\n", e.Input)
 		case EvRunEnd:

@@ -18,12 +18,13 @@ import (
 // added the wire-transport accounting (worker_wire events and the
 // bytes_sent/bytes_recv family); version 4 added the partitioned
 // signature index contention events (index, with the partitions/waits
-// fields). Older journals remain valid, except those holding what later
+// fields); version 5 added persist_corrupt with the path field. Older
+// journals remain valid, except those holding what later
 // changes removed: the replan events of the removed runtime controller
 // (an unknown event type) and the proto/raw_bytes_sent/raw_bytes_recv
 // fields of the removed wire-version negotiation and frame compression
 // (unknown fields). The strict reader rejects both.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // Journal event types. Every line in a journal file is one Event whose
 // Type is one of these constants.
@@ -59,6 +60,11 @@ const (
 	// claims that blocked on in-order resolution (waits), and their
 	// summed wait time (dur_ns).
 	EvIndex = "index"
+
+	// persist_corrupt (schema v5) is one persisted entry that failed
+	// verification on load: its kind (cache | checkpoint), path and the
+	// reason (why). The entry was deleted and its state recomputed.
+	EvPersistCorrupt = "persist_corrupt"
 )
 
 // PlanOp is the journal's view of one physical plan node, embedded in
@@ -132,6 +138,8 @@ type Event struct {
 
 	Workers int    `json:"workers,omitempty"`
 	Why     string `json:"why,omitempty"`
+	// Path is the file a persist_corrupt event discarded.
+	Path string `json:"path,omitempty"`
 
 	Status string `json:"status,omitempty"` // run_end: ok | error
 	Error  string `json:"error,omitempty"`
@@ -347,6 +355,10 @@ func validateEvent(lineNo, idx int, e Event) error {
 		}
 		if e.Waits < 0 || e.DurNS < 0 {
 			return fail("negative contention counts")
+		}
+	case EvPersistCorrupt:
+		if e.Kind == "" || e.Path == "" || e.Why == "" {
+			return fail("missing kind, path or why")
 		}
 	case EvWorkerStart:
 		if e.Worker <= 0 {

@@ -19,7 +19,7 @@ func TestGoldenJournalDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantTypes := []string{
-		EvRunStart, EvPlan, EvPhase, EvWorkerStart,
+		EvRunStart, EvPlan, EvPhase, EvPersistCorrupt, EvWorkerStart,
 		EvCacheHit, EvOpComplete, EvOpComplete, EvSpill, EvIndex, EvWorkerRetry,
 		EvShardSteal, EvSpanEnd, EvTrace, EvWorkerWire, EvExport, EvSpanEnd, EvRunEnd,
 	}
@@ -95,12 +95,16 @@ func TestGoldenTimeline(t *testing.T) {
 	if w2.Worker != 2 || w2.Retries != 1 || !w2.Disconnected {
 		t.Errorf("worker 2 lane wrong: %+v", w2)
 	}
+	if len(tl.Corrupt) != 1 || tl.Corrupt[0].Kind != "cache" || tl.Corrupt[0].Why != "body checksum mismatch" {
+		t.Errorf("persist_corrupt events wrong: %+v", tl.Corrupt)
+	}
 	out := tl.Render()
 	for _, want := range []string{"run r1 [stream]", "fused_filter", "plan passes", "phases:",
 		"spill (disk-backed dedup indexes)", "spilled 3 runs, 2.0 MiB",
 		"index contention (partitioned signature indexes)", "8 partitions, 5 blocked claims",
 		"workers:", "w1  127.0.0.1:43117", "1 retries", "DISCONNECTED",
-		"wire (dispatch transport):", "w1  sent 4.0 MiB recv 1.0 MiB, 2 delta stages"} {
+		"wire (dispatch transport):", "w1  sent 4.0 MiB recv 1.0 MiB, 2 delta stages",
+		"persisted state discarded", "work/cache/0123456789abcdef.cache.none: body checksum mismatch"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
@@ -142,6 +146,10 @@ func TestDecodeRejects(t *testing.T) {
 			`{"ts":2,"type":"index","run_id":"r","name":"dedup"}`,
 		"index negative waits": `{"ts":1,"type":"run_start","run_id":"r","schema":4,"backend":"b"}` + "\n" +
 			`{"ts":2,"type":"index","run_id":"r","name":"dedup","partitions":8,"waits":-1}`,
+		"persist_corrupt no path": `{"ts":1,"type":"run_start","run_id":"r","schema":5,"backend":"b"}` + "\n" +
+			`{"ts":2,"type":"persist_corrupt","run_id":"r","kind":"cache","why":"bad header"}`,
+		"persist_corrupt no why": `{"ts":1,"type":"run_start","run_id":"r","schema":5,"backend":"b"}` + "\n" +
+			`{"ts":2,"type":"persist_corrupt","run_id":"r","kind":"checkpoint","path":"p"}`,
 	}
 	for name, raw := range cases {
 		if _, err := DecodeJournal([]byte(raw)); err == nil {

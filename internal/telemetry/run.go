@@ -453,6 +453,16 @@ func (r *Run) ObserveIndexWait(op string, d time.Duration) {
 	r.Reg.ScaledCounter("dj_index_wait_seconds_total", "total signature index resolution wait time", 1e-9, lbl).Add(int64(d))
 }
 
+// ObservePersistCorrupt accounts one persisted entry that failed
+// verification and was discarded, labeled by kind (cache | checkpoint).
+func (r *Run) ObservePersistCorrupt(kind string) {
+	if r == nil {
+		return
+	}
+	lbl := Label{Key: "kind", Value: kind}
+	r.Reg.Counter("dj_persist_corrupt_total", "persisted entries discarded by verification", lbl).Inc()
+}
+
 // ObserveWire records one completed dispatch exchange's transport
 // bytes on the wire in each direction.
 func (r *Run) ObserveWire(worker int, sent, recv int64) {

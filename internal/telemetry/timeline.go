@@ -76,6 +76,7 @@ type Timeline struct {
 	Phases  []PhaseTimeline
 	Passes  []PlanPass
 	Workers []WorkerTimeline // distributed runs: one lane per djworker
+	Corrupt []Event          // persist_corrupt: discarded entries, in order
 
 	startTS int64 // first event timestamp (lane bar origin)
 	endTS   int64 // last event timestamp
@@ -191,6 +192,8 @@ func BuildTimeline(events []Event) (*Timeline, error) {
 			}
 			o.IndexWaits += e.Waits
 			o.IndexWait += time.Duration(e.DurNS)
+		case EvPersistCorrupt:
+			tl.Corrupt = append(tl.Corrupt, e)
 		case EvWorkerStart:
 			w := laneOf(e.Worker)
 			w.Addr = e.Addr
@@ -324,6 +327,13 @@ func (tl *Timeline) Render() string {
 		for _, o := range indexed {
 			fmt.Fprintf(&b, "  %-44s %d partitions, %d blocked claims, %s waiting\n",
 				o.Name, o.Partitions, o.IndexWaits, o.IndexWait.Round(time.Microsecond))
+		}
+	}
+
+	if len(tl.Corrupt) > 0 {
+		b.WriteString("\npersisted state discarded (failed verification, recomputed):\n")
+		for _, e := range tl.Corrupt {
+			fmt.Fprintf(&b, "  %-10s %s: %s\n", e.Kind, e.Path, e.Why)
 		}
 	}
 
